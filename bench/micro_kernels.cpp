@@ -9,7 +9,9 @@
 // main() additionally runs a fixed-budget timing harness over the same pairs
 // and mirrors the ns/op + speedup numbers to micro_kernels.csv, so the perf
 // trajectory of these kernels is tracked in the same CSV scheme as the
-// paper-figure benches.
+// paper-figure benches. The same CSV carries a `crc32c` row: the portable
+// table loop (`ref`) against the dispatched kernel (`word`, SSE4.2 where the
+// CPU has it), in ns per 4 KiB buffer.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +30,7 @@
 #include "seq/kmer_scanner.hpp"
 #include "seq/types.hpp"
 #include "sim/genome_sim.hpp"
+#include "util/hash.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -358,7 +361,29 @@ void write_kernel_csv() {
                      util::TextTable::fmt(1e3 / row.word_ns, 1)});
     }
   }
-  std::printf("\n=== k-mer kernels: word-parallel vs reference ===\n%s\n",
+  // CRC-32C over one 4 KiB buffer (about one aggregated batch): the table
+  // loop vs the dispatched kernel every envelope, frame and shard uses.
+  {
+    std::vector<unsigned char> buf(4096);
+    std::mt19937_64 rng(19);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng());
+    const double ref_ns = ns_per_op(
+        [&] {
+          benchmark::DoNotOptimize(
+              util::crc32c_portable(buf.data(), buf.size()));
+        },
+        1);
+    const double word_ns = ns_per_op(
+        [&] {
+          benchmark::DoNotOptimize(util::crc32c(buf.data(), buf.size()));
+        },
+        1);
+    table.add_row({"crc32c", "-", util::TextTable::fmt(ref_ns, 2),
+                   util::TextTable::fmt(word_ns, 2),
+                   util::TextTable::fmt(ref_ns / word_ns, 2),
+                   util::TextTable::fmt(1e3 / word_ns, 1)});
+  }
+  std::printf("\n=== kernels: word-parallel vs reference ===\n%s\n",
               table.to_string().c_str());
   const std::string csv = "micro_kernels.csv";
   if (table.write_csv(csv))

@@ -4,6 +4,11 @@
 #include <cstring>
 #include <string_view>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define HIPMER_CRC32C_SSE42 1
+#endif
+
 /// Hashing primitives shared by every distributed data structure.
 ///
 /// All of HipMer's distributed hash tables key on 64-bit fingerprints of
@@ -54,19 +59,82 @@ namespace hipmer::util {
   return hash_bytes(s.data(), s.size());
 }
 
-/// Incremental CRC-32C (Castagnoli, reflected polynomial 0x82f63b78) —
-/// the checksum guarding checkpoint shards and manifests (src/ckpt).
-/// CRC-32C detects every single-byte corruption and all burst errors up to
-/// 32 bits, which is exactly the guarantee the snapshot store needs: a
-/// flipped byte in a shard or manifest must never be loadable as data.
+namespace detail {
+
+/// Byte-at-a-time table loop: the portable path and the reference the
+/// hardware kernel is tested against.
+inline std::uint32_t crc32c_update_table(std::uint32_t crc,
+                                         const unsigned char* p,
+                                         std::size_t len) noexcept {
+  static const auto tab = [] {
+    struct Table {
+      std::uint32_t entries[256];
+    } t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit)
+        c = (c & 1) ? (c >> 1) ^ 0x82f63b78U : c >> 1;
+      t.entries[i] = c;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < len; ++i)
+    crc = (crc >> 8) ^ tab.entries[(crc ^ p[i]) & 0xff];
+  return crc;
+}
+
+#ifdef HIPMER_CRC32C_SSE42
+/// SSE4.2 `crc32` kernel: 8 bytes per instruction over unaligned words
+/// (loaded through memcpy), then the tail bytewise. Same polynomial and
+/// bit order as the table loop, so the two are interchangeable mid-stream.
+/// Only this function is compiled for SSE4.2; callers reach it solely
+/// through the runtime check in crc32c_has_sse42().
+__attribute__((target("sse4.2"))) inline std::uint32_t crc32c_update_sse42(
+    std::uint32_t crc, const unsigned char* p, std::size_t len) noexcept {
+  std::uint64_t c = crc;
+  for (; len >= 8; p += 8, len -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; len > 0; ++p, --len) c32 = _mm_crc32_u8(c32, *p);
+  return c32;
+}
+
+inline bool crc32c_has_sse42() noexcept {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+#endif
+
+}  // namespace detail
+
+/// Incremental CRC-32C (Castagnoli, reflected polynomial 0x82f63b78) — the
+/// integrity check on every framed byte the system moves or persists:
+/// transport envelopes, SocketFabric frames, checkpoint shards and
+/// manifests, journal records, control-protocol lines and artifact-cache
+/// entries. CRC-32C detects every single-byte corruption and all burst
+/// errors up to 32 bits, so a flipped byte is never accepted as data.
+///
+/// Each batched store and lookup is checksummed on send and again on
+/// receive, so `update` runs the SSE4.2 `crc32` kernel when the CPU has it
+/// (checked once per process) and the table loop otherwise. Both produce
+/// identical values.
 class Crc32 {
  public:
   void update(const void* data, std::size_t len) noexcept {
     const auto* p = static_cast<const unsigned char*>(data);
-    std::uint32_t crc = state_;
-    for (std::size_t i = 0; i < len; ++i)
-      crc = (crc >> 8) ^ table()[(crc ^ p[i]) & 0xff];
-    state_ = crc;
+#ifdef HIPMER_CRC32C_SSE42
+    if (detail::crc32c_has_sse42()) {
+      state_ = detail::crc32c_update_sse42(state_, p, len);
+      return;
+    }
+#endif
+    state_ = detail::crc32c_update_table(state_, p, len);
   }
 
   /// Finalized checksum of everything fed so far (update may continue).
@@ -75,22 +143,6 @@ class Crc32 {
   void reset() noexcept { state_ = 0xffffffffU; }
 
  private:
-  static const std::uint32_t* table() noexcept {
-    static const auto tab = [] {
-      struct Table {
-        std::uint32_t entries[256];
-      } t{};
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int bit = 0; bit < 8; ++bit)
-          c = (c & 1) ? (c >> 1) ^ 0x82f63b78U : c >> 1;
-        t.entries[i] = c;
-      }
-      return t;
-    }();
-    return tab.entries;
-  }
-
   std::uint32_t state_ = 0xffffffffU;
 };
 
@@ -99,6 +151,14 @@ class Crc32 {
   Crc32 crc;
   crc.update(data, len);
   return crc.value();
+}
+
+/// crc32c() through the table loop regardless of the CPU: the reference
+/// the dispatched kernel is checked and benchmarked against.
+[[nodiscard]] inline std::uint32_t crc32c_portable(const void* data,
+                                                   std::size_t len) noexcept {
+  return ~detail::crc32c_update_table(
+      0xffffffffU, static_cast<const unsigned char*>(data), len);
 }
 
 }  // namespace hipmer::util

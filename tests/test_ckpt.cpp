@@ -61,6 +61,27 @@ TEST(Crc32, KnownAnswerAndIncremental) {
   crc.update(check + 4, 5);
   EXPECT_EQ(crc.value(), 0xE3069283u);
   EXPECT_EQ(util::crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(util::crc32c_portable(check, 9), 0xE3069283u);
+  EXPECT_EQ(util::crc32c_portable(nullptr, 0), 0u);
+
+  // The dispatched kernel (hardware where the CPU has it) must agree with
+  // the portable table loop at every length, every start alignment, and
+  // every split point of an incremental update.
+  std::mt19937_64 rng(0xc2c32c);
+  std::vector<unsigned char> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 1100; ++len)
+      ASSERT_EQ(util::crc32c(buf.data() + offset, len),
+                util::crc32c_portable(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+  const std::uint32_t whole = util::crc32c_portable(buf.data(), 64);
+  for (std::size_t split = 0; split <= 64; ++split) {
+    util::Crc32 parts;
+    parts.update(buf.data(), split);
+    parts.update(buf.data() + split, 64 - split);
+    EXPECT_EQ(parts.value(), whole) << "split " << split;
+  }
 }
 
 // ---- Manifest ----
