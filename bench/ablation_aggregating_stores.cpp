@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
     auto ka = std::make_unique<kcount::KmerAnalysis>(team, cfg);
     const auto before = team.snapshot_all();
     team.run([&](pgas::Rank& rank) {
-      std::vector<seq::Read> mine;
+      seq::ReadStore mine;
       for (std::size_t i = static_cast<std::size_t>(rank.id());
            i < ds.reads[0].size(); i += static_cast<std::size_t>(ranks))
-        mine.push_back(ds.reads[0][i]);
-      ka->run(rank, mine);
+        mine.append(ds.reads[0][i]);
+      ka->run(rank, {mine});
     });
     const auto delta = bench::snapshot_delta(before, team.snapshot_all());
     struct Out {

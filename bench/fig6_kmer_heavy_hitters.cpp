@@ -46,16 +46,16 @@ RunResult run_once(const sim::Dataset& ds, const bench::ScalePoint& scale,
   const auto before = team.snapshot_all();
   util::WallTimer timer;
   team.run([&](pgas::Rank& rank) {
-    std::vector<const std::vector<seq::Read>*> sets;
-    std::vector<std::vector<seq::Read>> mine(ds.reads.size());
+    std::vector<seq::ReadStore> mine(ds.reads.size());
+    std::vector<seq::ReadSetView> sets;
     for (std::size_t lib = 0; lib < ds.reads.size(); ++lib) {
       if (!ds.libraries[lib].for_contigging) continue;
       for (std::size_t i = 0; i < ds.reads[lib].size(); ++i) {
         if (static_cast<int>((i / 2) % static_cast<std::size_t>(rank.nranks())) ==
             rank.id())
-          mine[lib].push_back(ds.reads[lib][i]);
+          mine[lib].append(ds.reads[lib][i]);
       }
-      sets.push_back(&mine[lib]);
+      sets.emplace_back(mine[lib]);
     }
     ka.run(rank, sets);
   });

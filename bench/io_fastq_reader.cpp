@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
     const auto before = team.snapshot_all();
     util::WallTimer timer;
     team.run([&](pgas::Rank& rank) {
-      counts[static_cast<std::size_t>(rank.id())] =
-          reader.read_my_records(rank).size();
+      seq::ReadStore mine;
+      reader.read_my_records(rank, mine);
+      counts[static_cast<std::size_t>(rank.id())] = mine.size();
     });
     const double wall = timer.seconds();
     // Resident read memory, plain vs packed ingest of the same shards

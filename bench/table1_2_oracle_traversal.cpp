@@ -49,11 +49,11 @@ std::unique_ptr<kcount::KmerAnalysis> analyze(pgas::ThreadTeam& team,
   cfg.k = k;
   auto ka = std::make_unique<kcount::KmerAnalysis>(team, cfg);
   team.run([&](pgas::Rank& rank) {
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += static_cast<std::size_t>(rank.nranks()))
-      mine.push_back(reads[i]);
-    ka->run(rank, mine);
+      mine.append(reads[i]);
+    ka->run(rank, {mine});
   });
   return ka;
 }

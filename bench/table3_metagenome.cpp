@@ -73,11 +73,10 @@ int main(int argc, char** argv) {
 
     // File I/O, reported separately like the paper's third column.
     io::ParallelFastqReader reader(fastq);
-    std::vector<std::vector<seq::Read>> reads(
-        static_cast<std::size_t>(scale.ranks));
+    std::vector<seq::ReadStore> reads(static_cast<std::size_t>(scale.ranks));
     auto before = team.snapshot_all();
     team.run([&](pgas::Rank& rank) {
-      reads[static_cast<std::size_t>(rank.id())] = reader.read_my_records(rank);
+      reader.read_my_records(rank, reads[static_cast<std::size_t>(rank.id())]);
     });
     const double io_s = machine.io_phase_seconds(
         bench::snapshot_delta(before, team.snapshot_all()), scale.topology());
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
     kcount::KmerAnalysis ka(team, kcfg);
     before = team.snapshot_all();
     team.run([&](pgas::Rank& rank) {
-      ka.run(rank, reads[static_cast<std::size_t>(rank.id())]);
+      ka.run(rank, {reads[static_cast<std::size_t>(rank.id())]});
     });
     const double kmer_s = machine.phase_seconds_no_io(
         bench::snapshot_delta(before, team.snapshot_all()));
@@ -133,11 +132,11 @@ int main(int argc, char** argv) {
     kcfg.k = k;
     kcount::KmerAnalysis ka(team, kcfg);
     team.run([&](pgas::Rank& rank) {
-      std::vector<seq::Read> mine;
+      seq::ReadStore mine;
       for (std::size_t i = static_cast<std::size_t>(rank.id());
            i < human.reads[0].size(); i += 16)
-        mine.push_back(human.reads[0][i]);
-      ka.run(rank, mine);
+        mine.append(human.reads[0][i]);
+      ka.run(rank, {mine});
     });
     util::TextTable contrast({"dataset", "singleton_fraction"});
     contrast.add_row({"human_like", util::TextTable::fmt_pct(ka.singleton_fraction())});
@@ -145,11 +144,11 @@ int main(int argc, char** argv) {
     // is already printed; recompute cheaply at 16 ranks for the contrast.
     kcount::KmerAnalysis ka2(team, kcfg);
     team.run([&](pgas::Rank& rank) {
-      std::vector<seq::Read> mine;
+      seq::ReadStore mine;
       for (std::size_t i = static_cast<std::size_t>(rank.id());
            i < mg.reads.size(); i += 16)
-        mine.push_back(mg.reads[i]);
-      ka2.run(rank, mine);
+        mine.append(mg.reads[i]);
+      ka2.run(rank, {mine});
     });
     contrast.add_row({"metagenome", util::TextTable::fmt_pct(ka2.singleton_fraction())});
     bench::emit("table3_singleton_contrast",

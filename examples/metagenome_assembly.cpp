@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
   kcfg.min_count = 2;  // low threshold: rare species live near the floor
   kcount::KmerAnalysis ka(team, kcfg);
   team.run([&](pgas::Rank& rank) {
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id());
          i < mg.reads.size(); i += static_cast<std::size_t>(ranks))
-      mine.push_back(mg.reads[i]);
-    ka.run(rank, mine);
+      mine.append(mg.reads[i]);
+    ka.run(rank, {mine});
   });
 
   std::printf("\nk-mer spectrum: %llu distinct, singleton fraction %.1f%% "

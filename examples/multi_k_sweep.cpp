@@ -41,11 +41,11 @@ KResult assemble_at_k(pgas::ThreadTeam& team,
   kcfg.min_count = 3;
   kcount::KmerAnalysis ka(team, kcfg);
   team.run([&](pgas::Rank& rank) {
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += static_cast<std::size_t>(rank.nranks()))
-      mine.push_back(reads[i]);
-    ka.run(rank, mine);
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
   });
   std::size_t ufx = 0;
   for (int r = 0; r < team.nranks(); ++r) ufx += ka.ufx(r).size();

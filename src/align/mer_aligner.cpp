@@ -157,7 +157,7 @@ void MerAligner::extend_one(pgas::Rank& rank, const ContigStore& store,
 
 std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
                                                    const ContigStore& store,
-                                                   seq::ReadSetView reads,
+                                                   const seq::ReadStore& reads,
                                                    int library) {
   std::vector<ReadAlignment> out;
   out.reserve(reads.size());

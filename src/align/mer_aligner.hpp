@@ -87,14 +87,11 @@ class MerAligner {
 
   /// Align this rank's reads; `library` tags the records. Returns the
   /// alignments found (all candidates above threshold, best first, capped).
-  /// Accepts a ReadSetView (string or packed store; a bare
-  /// `std::vector<seq::Read>` converts implicitly). Packed reads feed the
-  /// seed scanner from their 2-bit words and decode to chars only for the
-  /// extend phase.
-  [[nodiscard]] std::vector<ReadAlignment> align_reads(pgas::Rank& rank,
-                                                       const ContigStore& store,
-                                                       seq::ReadSetView reads,
-                                                       int library);
+  /// Packed stores feed the seed scanner from their 2-bit words and
+  /// decode to chars only for the extend phase.
+  [[nodiscard]] std::vector<ReadAlignment> align_reads(
+      pgas::Rank& rank, const ContigStore& store, const seq::ReadStore& reads,
+      int library);
 
   [[nodiscard]] const AlignerConfig& config() const noexcept { return config_; }
 

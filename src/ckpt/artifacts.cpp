@@ -26,55 +26,28 @@ bool count_fits(const Reader& r, std::uint64_t n, std::size_t min_record) {
 
 // ---- reads ----
 
-// wire-schema: ckpt_reads_shard writer
-std::vector<std::byte> encode_reads_shard(
-    const std::vector<std::vector<seq::Read>>& libs) {
-  std::vector<std::byte> buf;
-  Writer w(buf);
-  w.put_u32(kReadsMagic);
-  w.put_u32(static_cast<std::uint32_t>(libs.size()));
-  for (const auto& reads : libs) {
-    w.put_u64(reads.size());
-    for (const auto& read : reads) io::wire::put_read(w, read);
-  }
-  return buf;
-}
+namespace {
 
 // wire-schema: ckpt_reads_shard writer
-std::vector<std::byte> encode_reads_shard(
-    const std::vector<seq::ReadStore>& libs) {
-  std::vector<std::byte> buf;
-  Writer w(buf);
+void encode_plain_reads(Writer& w, const std::vector<seq::ReadStore>& libs) {
   w.put_u32(kReadsMagic);
   w.put_u32(static_cast<std::uint32_t>(libs.size()));
   std::string seq_scratch;
   std::string qual_scratch;
   for (const auto& store : libs) {
     w.put_u64(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      w.put_bytes(store.name(i));
-      w.put_bytes(store.seq(i, seq_scratch));
-      w.put_bytes(store.quals(i, qual_scratch));
-    }
+    for (std::size_t i = 0; i < store.size(); ++i)
+      io::wire::put_read(w, store.name(i), store.seq(i, seq_scratch),
+                         store.quals(i, qual_scratch));
   }
-  return buf;
 }
 
 // wire-schema: ckpt_packed_reads_shard writer
-std::vector<std::byte> encode_packed_reads_shard(
-    const std::vector<seq::ReadStore>& libs) {
-  std::vector<std::byte> buf;
-  Writer w(buf);
+void encode_packed_reads(Writer& w, const std::vector<seq::ReadStore>& libs) {
   w.put_u32(kPackedReadsMagic);
   w.put_u32(static_cast<std::uint32_t>(libs.size()));
-  seq::PackedReads repacked;
   for (const auto& store : libs) {
     const seq::PackedReads* arena = &store.arena();
-    if (!store.packed()) {
-      repacked.clear();
-      for (const auto& read : store.plain()) repacked.append(read);
-      arena = &repacked;
-    }
     w.put_u64(arena->size());
     for (std::size_t i = 0; i < arena->size(); ++i) {
       w.put_bytes(arena->name(i));
@@ -92,6 +65,23 @@ std::vector<std::byte> encode_packed_reads_shard(
                                    enc_len));
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::byte> encode_reads_shard(
+    const std::vector<seq::ReadStore>& libs) {
+  // RDS1 reads any store through its accessors, so it also takes a shard
+  // that mixes representations.
+  const bool packed =
+      !libs.empty() && std::all_of(libs.begin(), libs.end(),
+                                   [](const auto& s) { return s.packed(); });
+  std::vector<std::byte> buf;
+  Writer w(buf);
+  if (packed)
+    encode_packed_reads(w, libs);
+  else
+    encode_plain_reads(w, libs);
   return buf;
 }
 

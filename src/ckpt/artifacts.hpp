@@ -40,20 +40,12 @@ inline constexpr std::uint32_t kScaffMagic = 0x31464353;   // "SCF1"
 
 // ---- reads: one rank's share of every library ----
 
+/// The shard format follows the stores: packed stores write "RDP1" (2-bit
+/// words + exception list + RLE quals per read, roughly 4x smaller than
+/// the string shard for typical short-read data), plain stores write
+/// "RDS1" (three length-prefixed strings per read). A shard that is empty
+/// or mixes representations writes RDS1.
 [[nodiscard]] std::vector<std::byte> encode_reads_shard(
-    const std::vector<std::vector<seq::Read>>& libs);
-
-/// Same "RDS1" string format, sourced from ReadStores (packed stores are
-/// decoded record by record). The pipeline uses this when --packed-reads
-/// is off; with it on, the packed shard below is written instead.
-[[nodiscard]] std::vector<std::byte> encode_reads_shard(
-    const std::vector<seq::ReadStore>& libs);
-
-/// Packed variant ("RDP1"): 2-bit words + exception list + RLE quals per
-/// read, written when the pipeline runs with --packed-reads. Roughly 4x
-/// smaller on disk than the string shard for typical short-read data. A
-/// plain (string) store is packed on the fly.
-[[nodiscard]] std::vector<std::byte> encode_packed_reads_shard(
     const std::vector<seq::ReadStore>& libs);
 
 /// Decodes either shard flavor (dispatch on the leading magic), so resume

@@ -10,19 +10,6 @@ namespace hipmer::ckpt {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/// Durable writes go through the fault-aware shared helper; this layer is
-/// exception-free and collapses both failure and simulated crash into
-/// "the write did not commit" — the startup sweep reclaims any debris.
-bool write_file_atomic(const fs::path& final_path, const std::byte* data,
-                       std::size_t size) {
-  return io::write_file_atomic(final_path, data, size) ==
-         io::AtomicWriteStatus::kOk;
-}
-
-}  // namespace
-
 std::size_t SnapshotStore::sweep_orphans() const {
   return io::sweep_tmp_files(dir_);
 }
@@ -42,8 +29,10 @@ bool SnapshotStore::write_manifest(const Manifest& manifest) const {
   fs::create_directories(dir_, ec);
   if (ec) return false;
   const auto bytes = encode_manifest(manifest);
-  return write_file_atomic(fs::path(dir_) / "manifest.bin", bytes.data(),
-                           bytes.size());
+  // Exception-free: failure and simulated crash both mean "not committed";
+  // the startup sweep reclaims any debris.
+  return io::write_file_atomic(fs::path(dir_) / "manifest.bin", bytes.data(),
+                               bytes.size()) == io::AtomicWriteStatus::kOk;
 }
 
 fs::path SnapshotStore::entry_dir(const StageEntry& entry) const {
@@ -63,8 +52,8 @@ bool SnapshotStore::prepare_entry(const StageEntry& entry) const {
 
 bool SnapshotStore::write_shard(const StageEntry& entry, std::uint32_t shard,
                                 const std::vector<std::byte>& payload) const {
-  return write_file_atomic(shard_path(entry, shard), payload.data(),
-                           payload.size());
+  return io::write_file_atomic(shard_path(entry, shard), payload.data(),
+                               payload.size()) == io::AtomicWriteStatus::kOk;
 }
 
 std::optional<std::vector<std::byte>> SnapshotStore::read_shard(

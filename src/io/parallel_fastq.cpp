@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "io/fastq.hpp"
 
@@ -111,26 +112,8 @@ double ParallelFastqReader::sample_record_length(std::uint64_t offset,
   return static_cast<double>(last_end) / records;
 }
 
-std::vector<seq::Read> ParallelFastqReader::read_my_records(pgas::Rank& rank) {
-  std::vector<seq::Read> reads;
-  read_records_impl(rank, [&](std::string_view name, std::string_view bases,
-                              std::string_view quals) {
-    reads.push_back(seq::Read{std::string(name), std::string(bases),
-                              std::string(quals)});
-  });
-  return reads;
-}
-
 void ParallelFastqReader::read_my_records(pgas::Rank& rank,
                                           seq::ReadStore& out) {
-  read_records_impl(rank, [&](std::string_view name, std::string_view bases,
-                              std::string_view quals) {
-    out.append(name, bases, quals);
-  });
-}
-
-void ParallelFastqReader::read_records_impl(pgas::Rank& rank,
-                                            const RecordSink& sink) {
   const int p = rank.nranks();
   const int me = rank.id();
   // Root sizes the per-rank stats table; the barrier publishes it before
@@ -164,8 +147,8 @@ void ParallelFastqReader::read_records_impl(pgas::Rank& rank,
   const std::uint64_t my_end = next_record_boundary(next_start_nominal);
 
   // --- Step 4: large buffered preads, parsed in memory. Record fields are
-  // handed to the sink as views into `carry` — no per-record allocations in
-  // the reader itself. ---
+  // appended to `out` from views into `carry` — no per-record allocations
+  // in the reader itself. ---
   if (my_start >= my_end) {
     rank.stats().add_io_read(0);
     return;
@@ -205,7 +188,7 @@ void ParallelFastqReader::read_records_impl(pgas::Rank& rank,
       if (bases.size() != quals.size())
         throw std::runtime_error("FASTQ seq/qual length mismatch: " +
                                  std::string(name));
-      sink(name, bases, quals);
+      out.append(name, bases, quals);
       ++st.records;
       pos = probe;
     }

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "pgas/thread_team.hpp"
-#include "seq/read.hpp"
 #include "seq/read_store.hpp"
 
 /// Parallel block FASTQ reader (§3.3 of the paper).
@@ -44,14 +41,11 @@ class ParallelFastqReader {
   explicit ParallelFastqReader(std::string path,
                                std::size_t block_size = 4u << 20);
 
-  /// Collective: returns the records whose byte offset falls in this rank's
-  /// range. Must be called by every rank of the team. The union over ranks
-  /// is exactly the file, with no duplicates.
-  [[nodiscard]] std::vector<seq::Read> read_my_records(pgas::Rank& rank);
-
-  /// Same collective, appending into a ReadStore. With a packed store the
-  /// record fields go straight from the parse buffer into the 2-bit arena —
-  /// no per-record std::string triple ever exists.
+  /// Collective: appends to `out` the records whose byte offset falls in
+  /// this rank's range. Must be called by every rank of the team. The
+  /// union over ranks is exactly the file, with no duplicates. With a
+  /// packed store the record fields go straight from the parse buffer into
+  /// the 2-bit arena — no per-record std::string triple ever exists.
   void read_my_records(pgas::Rank& rank, seq::ReadStore& out);
 
   /// Stats from the last read_my_records call on this rank.
@@ -71,14 +65,6 @@ class ParallelFastqReader {
   [[nodiscard]] std::uint64_t next_record_boundary(std::uint64_t offset) const;
 
  private:
-  /// Record sink: (name, bases, quals) viewing the parse buffer; only valid
-  /// for the duration of the call.
-  using RecordSink = std::function<void(
-      std::string_view, std::string_view, std::string_view)>;
-
-  /// Shared body of both read_my_records flavors.
-  void read_records_impl(pgas::Rank& rank, const RecordSink& sink);
-
   [[nodiscard]] std::string pread_range(std::uint64_t offset,
                                         std::size_t length) const;
 

@@ -194,10 +194,15 @@ class Reader {
 
 /// Sequencing read: three length-prefixed fields (name, bases, quals).
 // wire-schema: read_record writer
+inline void put_read(Writer& w, std::string_view name, std::string_view seq,
+                     std::string_view quals) {
+  w.put_bytes(name);
+  w.put_bytes(seq);
+  w.put_bytes(quals);
+}
+
 inline void put_read(Writer& w, const seq::Read& read) {
-  w.put_bytes(read.name);
-  w.put_bytes(read.seq);
-  w.put_bytes(read.quals);
+  put_read(w, read.name, read.seq, read.quals);
 }
 
 /// Streaming (non-throwing) decoder: only for buffers produced in-process

@@ -27,19 +27,6 @@ std::uint32_t KmerAnalysis::owner_of(const KmerT& km) const {
                                     static_cast<std::uint64_t>(team_.nranks()));
 }
 
-void KmerAnalysis::run(pgas::Rank& rank, const std::vector<seq::Read>& reads) {
-  run(rank, std::vector<seq::ReadSetView>{seq::ReadSetView(reads)});
-}
-
-void KmerAnalysis::run(
-    pgas::Rank& rank,
-    const std::vector<const std::vector<seq::Read>*>& read_sets) {
-  std::vector<seq::ReadSetView> views;
-  views.reserve(read_sets.size());
-  for (const auto* reads : read_sets) views.emplace_back(*reads);
-  run(rank, views);
-}
-
 void KmerAnalysis::run(pgas::Rank& rank,
                        const std::vector<seq::ReadSetView>& read_sets) {
   sketch_pass(rank, read_sets);
@@ -55,7 +42,7 @@ void KmerAnalysis::sketch_pass(
   MisraGries<KmerT, seq::KmerHashT> mg(config_.mg_capacity);
   std::uint64_t instances = 0;
 
-  for (const auto& set : read_sets) {
+  for (const seq::ReadStore& set : read_sets) {
     for (std::size_t r = 0; r < set.size(); ++r) {
       for (auto it = set.scanner<KmerT::kMaxK>(r, config_.k); !it.done();
            it.next()) {
@@ -183,8 +170,9 @@ void KmerAnalysis::candidate_pass(
   bool it_active = false;
   auto start_next_read = [&]() -> bool {
     while (set_idx < read_sets.size()) {
-      if (read_idx < read_sets[set_idx].size()) {
-        it = read_sets[set_idx].scanner<KmerT::kMaxK>(read_idx++, config_.k);
+      const seq::ReadStore& set = read_sets[set_idx];
+      if (read_idx < set.size()) {
+        it = set.scanner<KmerT::kMaxK>(read_idx++, config_.k);
         return true;
       }
       ++set_idx;
@@ -195,7 +183,7 @@ void KmerAnalysis::candidate_pass(
   auto stream_exhausted = [&]() {
     return set_idx >= read_sets.size() ||
            (set_idx + 1 == read_sets.size() &&
-            read_idx >= read_sets[set_idx].size());
+            read_idx >= read_sets[set_idx].get().size());
   };
 
   // Chunked exchange: every rank keeps participating in the collective
@@ -252,7 +240,7 @@ void KmerAnalysis::counting_pass(
   std::unordered_map<KmerT, KmerTally, seq::KmerHashT> local_heavy;
   std::string qual_scratch;
 
-  for (const auto& set : read_sets)
+  for (const seq::ReadStore& set : read_sets)
   for (std::size_t r = 0; r < set.size(); ++r) {
     const std::string_view quals = set.quals(r, qual_scratch);
     const std::size_t len = set.length(r);

@@ -11,7 +11,6 @@
 #include "kcount/misra_gries.hpp"
 #include "pgas/dist_hash_map.hpp"
 #include "pgas/thread_team.hpp"
-#include "seq/read.hpp"
 #include "seq/read_store.hpp"
 #include "seq/types.hpp"
 
@@ -78,17 +77,11 @@ class KmerAnalysis {
   ~KmerAnalysis();
 
   /// Collective: full analysis of this rank's share of the reads. Must be
-  /// called by every rank inside one team.run(). The ReadSetView overload
-  /// is the core path — it scans string or packed reads alike (packed
-  /// reads feed the scanner straight from their 2-bit words).
+  /// called by every rank inside one team.run(). `read_sets` holds one
+  /// store per library; the union is analysed without copying the stores
+  /// together, and packed stores feed the scanner straight from their
+  /// 2-bit words.
   void run(pgas::Rank& rank, const std::vector<seq::ReadSetView>& read_sets);
-
-  void run(pgas::Rank& rank, const std::vector<seq::Read>& reads);
-
-  /// Multi-library variant: analyse the union of several read sets without
-  /// copying them together.
-  void run(pgas::Rank& rank,
-           const std::vector<const std::vector<seq::Read>*>& read_sets);
 
   // ---- results (valid after run) ----
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "io/fs_faults.hpp"
+
 namespace hipmer::kcount {
 
 namespace {
@@ -18,37 +20,23 @@ std::string shard_path(const std::string& path, int shard) {
 
 bool write_ufx_shard(pgas::Rank& rank, const std::string& path,
                      const std::vector<UfxRecord>& records) {
-  // Crash consistency: write the whole shard to a temp file, then
-  // atomic-rename onto the final name. A crash mid-write leaves either the
+  // Crash consistency: the whole shard commits through a temp file and an
+  // atomic rename (under the fs-fault shim), so a crash leaves either the
   // old complete shard or a stray .tmp — never a torn `<path>.<rank>`.
-  const auto file = shard_path(path, rank.id());
-  const auto tmp = file + ".tmp";
-  std::uint64_t bytes = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    for (const auto& [kmer, summary] : records) {
-      const auto line = kmer.to_string() + "\t" +
-                        std::to_string(summary.depth) + "\t" +
-                        summary.left_ext + std::string(1, summary.right_ext) +
-                        "\n";
-      out << line;
-      bytes += line.size();
-    }
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
+  std::string text;
+  for (const auto& [kmer, summary] : records) {
+    text += kmer.to_string();
+    text += '\t';
+    text += std::to_string(summary.depth);
+    text += '\t';
+    text += summary.left_ext;
+    text += summary.right_ext;
+    text += '\n';
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, file, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  if (io::write_file_atomic(shard_path(path, rank.id()), text.data(),
+                            text.size()) != io::AtomicWriteStatus::kOk)
     return false;
-  }
-  rank.stats().add_io_write(bytes);
+  rank.stats().add_io_write(text.size());
   return true;
 }
 

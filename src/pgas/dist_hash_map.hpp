@@ -86,6 +86,12 @@ class DistHashMap {
         shards_(static_cast<std::size_t>(team.nranks())),
         store_engine_(nranks_, cfg.flush_threshold),
         lookup_engine_(nranks_, cfg.flush_threshold),
+        // The table's two wire channels: batched traffic travels through
+        // the lossy-transport layer (per-channel chaos overrides key off
+        // these names; set_name refines them). Opened before checked_
+        // registers, since other ranks' barrier checks may then read them.
+        store_channel_(team.transport().open_channel("DistHashMap/store")),
+        lookup_channel_(team.transport().open_channel("DistHashMap/lookup")),
         caches_(static_cast<std::size_t>(team.nranks()))
 #if defined(HIPMER_CHECKED)
         ,
@@ -94,45 +100,34 @@ class DistHashMap {
                  [this](int r) { return pending_lookups(r); })
 #endif
   {
-    // Register the table's two wire channels so batched traffic travels
-    // through the lossy-transport layer (per-channel chaos overrides key
-    // off these names; set_name refines them).
-    store_channel_ = team.transport().open_channel("DistHashMap/store");
-    lookup_channel_ = team.transport().open_channel("DistHashMap/lookup");
     if (team.multiprocess()) {
-      if constexpr (kWireStores && kWireLookups) {
-        // Inbound store batches: apply to the local shard, charging this
-        // process's mirror of the initiator's counters (global sums then
-        // match the threads fabric, where the initiator applied directly).
-        team.transport().set_handler(
-            store_channel_,
-            [this](int src, int dst, const std::byte* data, std::size_t size) {
-              Rank initiator(*team_, src);
-              auto ops = map_wire::decode_batch<PendingOp>(data, size);
-              apply_store_batch(initiator, static_cast<std::uint32_t>(dst),
-                                ops);
-            });
-        // Inbound lookup batches: answer from the local shard via a
-        // fire-and-forget reply to the requesting process.
-        team.transport().set_handler(
-            lookup_channel_,
-            [this](int src, int, const std::byte* data, std::size_t size) {
-              auto reqs = map_wire::decode_batch<LookupReq>(data, size);
-              answer_remote_lookups(src, reqs);
-            });
-        reply_oneway_ = team.fabric().register_oneway(
-            [this](int, const std::byte* data, std::size_t size) {
-              deliver_remote_replies(data, size);
-            });
-        rmw_rpc_ = team.fabric().register_rpc(
-            [this](int, const std::byte* data, std::size_t size) {
-              return serve_rmw(data, size);
-            });
-      } else {
-        throw std::logic_error(
-            "DistHashMap: instantiation is not wire-serializable and cannot "
-            "run on a multi-process fabric");
-      }
+      // Inbound store batches: apply to the local shard, charging this
+      // process's mirror of the initiator's counters (global sums then
+      // match the threads fabric, where the initiator applied directly).
+      team.transport().set_handler(
+          store_channel_,
+          [this](int src, int dst, const std::byte* data, std::size_t size) {
+            Rank initiator(*team_, src);
+            auto ops = map_wire::decode_batch<PendingOp>(data, size);
+            apply_store_batch(initiator, static_cast<std::uint32_t>(dst),
+                              ops);
+          });
+      // Inbound lookup batches: answer from the local shard via a
+      // fire-and-forget reply to the requesting process.
+      team.transport().set_handler(
+          lookup_channel_,
+          [this](int src, int, const std::byte* data, std::size_t size) {
+            auto reqs = map_wire::decode_batch<LookupReq>(data, size);
+            answer_remote_lookups(src, reqs);
+          });
+      reply_oneway_ = team.fabric().register_oneway(
+          [this](int, const std::byte* data, std::size_t size) {
+            deliver_remote_replies(data, size);
+          });
+      rmw_rpc_ = team.fabric().register_rpc(
+          [this](int, const std::byte* data, std::size_t size) {
+            return serve_rmw(data, size);
+          });
     }
     const std::size_t per_shard =
         (cfg.global_capacity + nranks_ - 1) / nranks_;
@@ -373,20 +368,16 @@ class DistHashMap {
     // Chaos may have held shipped envelopes "in the network" (reorder /
     // delay fates); the post-flush contract is "all stores applied", so
     // drain them here.
-    if constexpr (kWireStores) {
-      team_->transport().drain(rank.id(), store_channel_, rank.stats(),
-                               store_deliver(rank));
-    }
+    team_->transport().drain(rank.id(), store_channel_, rank.stats(),
+                             store_deliver(rank));
   }
 
   /// Store ops this rank has buffered but not yet applied (0 after flush).
   /// A store batch held in transport limbo is un-applied state exactly
   /// like an unflushed row, so it counts.
   [[nodiscard]] std::size_t pending_store_ops(int rank) const {
-    std::size_t n = store_engine_.pending(rank);
-    if constexpr (kWireStores)
-      n += team_->transport().pending(rank, store_channel_);
-    return n;
+    return store_engine_.pending(rank) +
+           team_->transport().pending(rank, store_channel_);
   }
 
   // ---- aggregated lookup path (batched reads + software cache) ----
@@ -464,25 +455,22 @@ class DistHashMap {
                          [&](std::uint32_t dest, std::vector<LookupReq>& reqs) {
                            ship_lookup_batch(rank, dest, reqs, handler);
                          });
-    if constexpr (kWireLookups) {
-      team_->transport().drain(rank.id(), lookup_channel_, rank.stats(),
-                               lookup_deliver(rank, handler));
-      if (team_->multiprocess() && outstanding_ > 0) {
-        // Remote owners still owe reply messages; serve inbound traffic
-        // (including their lookup requests against our shard) until every
-        // outstanding reply has been delivered through `handler`.
-        arm_reply_trampoline(handler);
-        team_->fabric().poll_until([this] { return outstanding_ == 0; });
-      }
+    team_->transport().drain(rank.id(), lookup_channel_, rank.stats(),
+                             lookup_deliver(rank, handler));
+    if (team_->multiprocess() && outstanding_ > 0) {
+      // Remote owners still owe reply messages; serve inbound traffic
+      // (including their lookup requests against our shard) until every
+      // outstanding reply has been delivered through `handler`.
+      arm_reply_trampoline(handler);
+      team_->fabric().poll_until([this] { return outstanding_ == 0; });
     }
   }
 
   /// Lookups this rank has queued but not yet answered (0 after
   /// process_lookups). Requests held in transport limbo count.
   [[nodiscard]] std::size_t pending_lookups(int rank) const {
-    std::size_t n = lookup_engine_.pending(rank);
-    if constexpr (kWireLookups)
-      n += team_->transport().pending(rank, lookup_channel_);
+    std::size_t n = lookup_engine_.pending(rank) +
+                    team_->transport().pending(rank, lookup_channel_);
     // A shipped batch whose reply has not arrived is still an unanswered
     // lookup (multi-process fabrics only; the threads fabric replies
     // synchronously).
@@ -640,12 +628,13 @@ class DistHashMap {
 
   using Cache = ReadCache<K, V, Hash>;
 
-  /// Whether a batch can travel the wire as a byte envelope: POD ops are
-  /// memcpy-serializable, which covers every instantiation the pipeline
-  /// uses. Non-POD instantiations keep the direct shared-memory apply (a
-  /// real network backend would need a proper serializer there).
-  static constexpr bool kWireStores = std::is_trivially_copyable_v<PendingOp>;
-  static constexpr bool kWireLookups = std::is_trivially_copyable_v<LookupReq>;
+  // Every batch travels the transport as a memcpy'd byte envelope, so
+  // chaos and the multi-process fabric see all table traffic; that needs
+  // trivially copyable keys and values.
+  static_assert(std::is_trivially_copyable_v<PendingOp>,
+                "DistHashMap store ops must be wire-serializable");
+  static_assert(std::is_trivially_copyable_v<LookupReq>,
+                "DistHashMap lookup requests must be wire-serializable");
 
   /// Receiver-side apply for one store envelope (run on the initiator's
   /// thread — synchronous simulated delivery). Runs exactly once per
@@ -670,44 +659,35 @@ class DistHashMap {
 
   void ship_store_batch(Rank& rank, std::uint32_t dest,
                         std::vector<PendingOp>& ops) {
-    if constexpr (kWireStores) {
-      try {
-        team_->transport().send(rank.id(), static_cast<int>(dest),
-                                store_channel_, map_wire::encode_batch(ops),
-                                rank.stats(), store_deliver(rank));
-      } catch (const PeerSuspect&) {
-        degrade(rank);
-        throw;
-      }
-    } else {
-      apply_store_batch(rank, dest, ops);
+    try {
+      team_->transport().send(rank.id(), static_cast<int>(dest),
+                              store_channel_, map_wire::encode_batch(ops),
+                              rank.stats(), store_deliver(rank));
+    } catch (const PeerSuspect&) {
+      degrade(rank);
+      throw;
     }
   }
 
   template <typename Handler>
   void ship_lookup_batch(Rank& rank, std::uint32_t dest,
                          std::vector<LookupReq>& reqs, Handler& handler) {
-    if constexpr (kWireLookups) {
-      if (!team_->is_local(static_cast<int>(dest))) {
-        // The owner answers with one oneway reply message per request
-        // batch (the transport dedups retransmits, so exactly one per
-        // send). Replies are dispatched only inside fabric awaits; the
-        // armed handler must stay alive until process_lookups drains the
-        // count, which the phase discipline (pending_lookups == 0 at
-        // barriers) guarantees.
-        arm_reply_trampoline(handler);
-        ++outstanding_;
-      }
-      try {
-        team_->transport().send(rank.id(), static_cast<int>(dest),
-                                lookup_channel_, map_wire::encode_batch(reqs),
-                                rank.stats(), lookup_deliver(rank, handler));
-      } catch (const PeerSuspect&) {
-        degrade(rank);
-        throw;
-      }
-    } else {
-      answer_lookup_batch(rank, dest, reqs, handler);
+    if (!team_->is_local(static_cast<int>(dest))) {
+      // The owner answers with one oneway reply message per request batch
+      // (the transport dedups retransmits, so exactly one per send).
+      // Replies are dispatched only inside fabric awaits; the armed handler
+      // must stay alive until process_lookups drains the count, which the
+      // phase discipline (pending_lookups == 0 at barriers) guarantees.
+      arm_reply_trampoline(handler);
+      ++outstanding_;
+    }
+    try {
+      team_->transport().send(rank.id(), static_cast<int>(dest),
+                              lookup_channel_, map_wire::encode_batch(reqs),
+                              rank.stats(), lookup_deliver(rank, handler));
+    } catch (const PeerSuspect&) {
+      degrade(rank);
+      throw;
     }
   }
 

@@ -278,21 +278,26 @@ Pipeline::RankReads Pipeline::make_rank_reads(std::size_t nlibs) const {
                                      seq::ReadStore(config_.packed_reads)));
 }
 
+Pipeline::RankReads Pipeline::deal_reads(
+    const std::vector<std::vector<seq::Read>>& library_reads,
+    std::size_t nlibs) const {
+  const auto p = static_cast<std::size_t>(team_.nranks());
+  RankReads rank_reads = make_rank_reads(nlibs);
+  for (std::size_t lib = 0; lib < std::min(library_reads.size(), nlibs);
+       ++lib) {
+    const auto& reads = library_reads[lib];
+    for (std::size_t i = 0; i < reads.size(); ++i)
+      rank_reads[(i / 2) % p][lib].append(reads[i]);
+  }
+  return rank_reads;
+}
+
 PipelineResult Pipeline::run(
     const std::vector<std::vector<seq::Read>>& library_reads,
     const std::vector<seq::ReadLibrary>& libraries) {
   init_checkpointer(libraries);
-  // Distribute pairs round robin so mates stay together on a rank.
-  const auto p = static_cast<std::size_t>(team_.nranks());
-  RankReads rank_reads = make_rank_reads(libraries.size());
-  for (std::size_t lib = 0; lib < library_reads.size(); ++lib) {
-    const auto& reads = library_reads[lib];
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      const std::size_t pair = i / 2;
-      rank_reads[pair % p][lib].append(reads[i]);
-    }
-  }
-  return assemble(std::move(rank_reads), libraries, {}, {});
+  return assemble(deal_reads(library_reads, libraries.size()), libraries, {},
+                  {});
 }
 
 PipelineResult Pipeline::run_from_fastq(
@@ -357,14 +362,8 @@ PipelineResult Pipeline::resume(
   auto rs = load_resume_state(stages);
   if (rs.empty()) {
     util::log_info("resume: no usable checkpoint, assembling from scratch");
-    const auto p = static_cast<std::size_t>(team_.nranks());
-    RankReads rank_reads = make_rank_reads(libraries.size());
-    for (std::size_t lib = 0; lib < library_reads.size(); ++lib) {
-      const auto& reads = library_reads[lib];
-      for (std::size_t i = 0; i < reads.size(); ++i)
-        rank_reads[(i / 2) % p][lib].append(reads[i]);
-    }
-    return assemble(std::move(rank_reads), libraries, std::move(stages), {});
+    return assemble(deal_reads(library_reads, libraries.size()), libraries,
+                    std::move(stages), {});
   }
   return assemble({}, libraries, std::move(stages), std::move(rs));
 }
@@ -401,26 +400,20 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
   auto stages = std::move(initial_stages);
 
   const int progress = resume_state.progress;
-  if (!resume_state.reads.empty()) {
-    // Snapshot reads come back as plain records regardless of which shard
-    // flavor was on disk; repack into this run's representation.
-    rank_reads = make_rank_reads(libraries.size());
-    for (std::size_t r = 0; r < resume_state.reads.size() && r < p; ++r) {
-      auto& per_rank = resume_state.reads[r];
-      for (std::size_t lib = 0; lib < per_rank.size() && lib < libraries.size();
-           ++lib)
-        for (auto& read : per_rank[lib])
-          rank_reads[r][lib].append(std::move(read));
-    }
-  }
   if (rank_reads.size() != p) rank_reads = make_rank_reads(libraries.size());
-  for (auto& per_rank : rank_reads) {
-    if (per_rank.size() < libraries.size())
-      per_rank.resize(libraries.size(), seq::ReadStore(config_.packed_reads));
-    // Ingest is over: drop the arenas' growth slack (no-op for plain
-    // stores) so resident read memory is what the bench reports.
-    for (auto& store : per_rank) store.shrink_to_fit();
+  // Snapshot reads come back as plain records whichever shard format was
+  // on disk; they land in this run's representation.
+  for (std::size_t r = 0; r < resume_state.reads.size() && r < p; ++r) {
+    auto& per_rank = resume_state.reads[r];
+    for (std::size_t lib = 0; lib < per_rank.size() && lib < libraries.size();
+         ++lib)
+      for (auto& read : per_rank[lib])
+        rank_reads[r][lib].append(std::move(read));
   }
+  // Ingest is over: drop the arenas' growth slack (no-op for plain stores)
+  // so resident read memory is what the bench reports.
+  for (auto& per_rank : rank_reads)
+    for (auto& store : per_rank) store.shrink_to_fit();
 
   const bool shuffle_on = config_.shuffle_reads && !config_.serial_scaffolding;
 
@@ -430,9 +423,8 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
 
   if (progress < ckpt::kProgressReads) {
     snapshot_stage(stages, ckpt::kStageReads, aux, [&](pgas::Rank& rank) {
-      const auto& mine = rank_reads[static_cast<std::size_t>(rank.id())];
-      return config_.packed_reads ? ckpt::encode_packed_reads_shard(mine)
-                                  : ckpt::encode_reads_shard(mine);
+      return ckpt::encode_reads_shard(
+          rank_reads[static_cast<std::size_t>(rank.id())]);
     });
   }
 
@@ -611,22 +603,19 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
         auto& mine = rank_reads[static_cast<std::size_t>(rank.id())][lib];
         std::vector<std::vector<std::byte>> outgoing(p);
         io::wire::Writer to_root(outgoing[0]);
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          to_root.put_bytes(mine.name(i));
-          to_root.put_bytes(mine.seq(i, seq_scratch));
-          to_root.put_bytes(mine.quals(i, qual_scratch));
-        }
-        if (!rank.is_root()) mine.clear();
+        for (std::size_t i = 0; i < mine.size(); ++i)
+          io::wire::put_read(to_root, mine.name(i), mine.seq(i, seq_scratch),
+                             mine.quals(i, qual_scratch));
+        // Root's own reads come back first in the gathered stream.
+        mine.clear();
         const auto gathered = rank.alltoallv(outgoing);
         if (rank.is_root()) {
-          seq::ReadStore all(config_.packed_reads);
           io::wire::Reader rd(gathered);
           while (!rd.done()) {
             auto read = io::wire::get_read(rd);
             if (rd.truncated()) break;
-            all.append(std::move(read));
+            mine.append(std::move(read));
           }
-          mine = std::move(all);
         }
         rank.barrier();
       }

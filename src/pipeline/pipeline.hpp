@@ -75,7 +75,7 @@ struct PipelineConfig {
 
   /// Keep resident reads in the 2-bit PackedReads arena instead of
   /// std::vector<seq::Read> (--packed-reads). Perf/memory-only: every stage
-  /// reads through ReadSetView, so output is byte-identical either way —
+  /// reads through seq::ReadStore, so output is byte-identical either way —
   /// which is why this knob stays out of the config fingerprint.
   bool packed_reads = false;
   /// After each round's alignment, redistribute read pairs so each rank
@@ -248,12 +248,19 @@ class Pipeline {
       const std::vector<seq::ReadLibrary>& libraries) const;
 
  private:
-  /// Per-rank, per-library read shares (plain or packed per
-  /// config_.packed_reads).
+  /// Per-rank, per-library read shares.
   using RankReads = std::vector<std::vector<seq::ReadStore>>;
 
-  /// RankReads sized for this team with every store's representation set.
+  /// Empty RankReads sized for this team. The one place the pipeline picks
+  /// the read representation (config_.packed_reads); every store it
+  /// creates comes from here, and the reads checkpoint format follows it.
   [[nodiscard]] RankReads make_rank_reads(std::size_t nlibs) const;
+
+  /// Whole-library reads dealt round robin by pair, so mates stay together
+  /// on a rank.
+  [[nodiscard]] RankReads deal_reads(
+      const std::vector<std::vector<seq::Read>>& library_reads,
+      std::size_t nlibs) const;
 
   [[nodiscard]] PipelineResult assemble(
       RankReads rank_reads, const std::vector<seq::ReadLibrary>& libraries,

@@ -63,18 +63,6 @@ GapCloser::GapCloser(pgas::ThreadTeam& team, GapClosingConfig config)
 std::vector<Closure> GapCloser::run(
     pgas::Rank& rank, const std::vector<GapSpec>& gaps,
     const align::ContigStore& store,
-    const std::vector<const std::vector<seq::Read>*>& my_reads_by_library,
-    const std::vector<align::ReadAlignment>& my_alignments,
-    const std::vector<InsertSizeEstimate>& inserts) {
-  std::vector<seq::ReadSetView> views;
-  views.reserve(my_reads_by_library.size());
-  for (const auto* reads : my_reads_by_library) views.emplace_back(*reads);
-  return run(rank, gaps, store, views, my_alignments, inserts);
-}
-
-std::vector<Closure> GapCloser::run(
-    pgas::Rank& rank, const std::vector<GapSpec>& gaps,
-    const align::ContigStore& store,
     const std::vector<seq::ReadSetView>& my_reads_by_library,
     const std::vector<align::ReadAlignment>& my_alignments,
     const std::vector<InsertSizeEstimate>& inserts) {
@@ -115,7 +103,7 @@ std::vector<Closure> GapCloser::run(
   };
   std::unordered_map<std::uint64_t, ReadRef> read_by_key;
   for (std::size_t lib = 0; lib < my_reads_by_library.size(); ++lib) {
-    const auto& set = my_reads_by_library[lib];
+    const seq::ReadStore& set = my_reads_by_library[lib];
     for (std::size_t i = 0; i < set.size(); ++i) {
       std::uint64_t pair_id = 0;
       int mate = 0;
@@ -127,7 +115,7 @@ std::vector<Closure> GapCloser::run(
   }
   std::string seq_scratch;
   auto seq_of = [&](const ReadRef& ref) {
-    return my_reads_by_library[ref.lib].seq(ref.idx, seq_scratch);
+    return my_reads_by_library[ref.lib].get().seq(ref.idx, seq_scratch);
   };
 
   // --- Project reads into gaps ("the alignments are processed in parallel

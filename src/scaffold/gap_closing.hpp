@@ -9,7 +9,6 @@
 #include "pgas/thread_team.hpp"
 #include "scaffold/insert_size.hpp"
 #include "scaffold/types.hpp"
-#include "seq/read.hpp"
 #include "seq/read_store.hpp"
 
 /// §4.8 — gap closing.
@@ -95,14 +94,6 @@ class GapCloser {
       pgas::Rank& rank, const std::vector<GapSpec>& gaps,
       const align::ContigStore& store,
       const std::vector<seq::ReadSetView>& my_reads_by_library,
-      const std::vector<align::ReadAlignment>& my_alignments,
-      const std::vector<InsertSizeEstimate>& inserts);
-
-  /// Legacy adapter for bare read vectors.
-  [[nodiscard]] std::vector<Closure> run(
-      pgas::Rank& rank, const std::vector<GapSpec>& gaps,
-      const align::ContigStore& store,
-      const std::vector<const std::vector<seq::Read>*>& my_reads_by_library,
       const std::vector<align::ReadAlignment>& my_alignments,
       const std::vector<InsertSizeEstimate>& inserts);
 

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -11,13 +12,15 @@
 #include "seq/packed_reads.hpp"
 #include "seq/read.hpp"
 
-/// The pipeline's resident read container: either the classic
-/// `std::vector<seq::Read>` (three heap strings per record) or a
-/// `PackedReads` arena, selected at construction by the `--packed-reads`
-/// flag. Both representations expose identical element accessors so every
-/// stage (k-mer analysis, alignment, gap closing, the shuffle) is written
-/// once against `ReadSetView` and produces byte-identical output on either
-/// path.
+/// The one carrier for a rank's share of the reads: every stage, reader,
+/// checkpoint codec and pipeline entry point takes a ReadStore. It holds
+/// either the classic `std::vector<seq::Read>` (three heap strings per
+/// record) or a `PackedReads` arena, chosen at construction
+/// (`--packed-reads`). Both representations expose identical element
+/// accessors, so every stage is written once against ReadStore and
+/// produces byte-identical output either way; the representation is
+/// private, except that the "RDP1" checkpoint writer serializes a packed
+/// store's arena words directly.
 namespace hipmer::seq {
 
 class ReadStore {
@@ -25,8 +28,6 @@ class ReadStore {
   ReadStore() = default;
   explicit ReadStore(bool packed) : packed_(packed) {}
 
-  /// Switch representation; only meaningful while empty.
-  void set_packed(bool packed) { packed_ = packed; }
   [[nodiscard]] bool packed() const noexcept { return packed_; }
 
   void reserve(std::size_t reads, std::size_t bases) {
@@ -96,12 +97,19 @@ class ReadStore {
                    : base_to_code(plain_[i].seq[pos]);
   }
 
-  [[nodiscard]] const PackedReads& arena() const noexcept { return arena_; }
-  [[nodiscard]] const std::vector<Read>& plain() const noexcept {
-    return plain_;
+  /// Rolling canonical k-mer scanner over read i: straight off the packed
+  /// words when packed, over the string otherwise. The store must outlive
+  /// the scanner.
+  template <int MAX_K>
+  [[nodiscard]] KmerScanner<MAX_K> scanner(std::size_t i, int k) const {
+    if (packed_) return KmerScanner<MAX_K>(arena_.view(i), k);
+    return KmerScanner<MAX_K>(std::string_view(plain_[i].seq), k);
   }
 
-  /// Materialize to owned Read records (checkpoint/gather paths).
+  /// The packed arena; only meaningful when packed() (the RDP1 writer).
+  [[nodiscard]] const PackedReads& arena() const noexcept { return arena_; }
+
+  /// Materialize to owned Read records.
   [[nodiscard]] std::vector<Read> to_reads() const {
     if (!packed_) return plain_;
     std::vector<Read> out(arena_.size());
@@ -145,67 +153,8 @@ class ReadStore {
   PackedReads arena_;
 };
 
-/// Non-owning read-set handle passed into the compute stages. Wraps either
-/// a ReadStore or (for legacy call sites and tools) a bare
-/// `std::vector<seq::Read>`.
-class ReadSetView {
- public:
-  ReadSetView() = default;
-  ReadSetView(const ReadStore& store) noexcept : store_(&store) {}  // NOLINT
-  ReadSetView(const std::vector<Read>& reads) noexcept  // NOLINT
-      : reads_(&reads) {}
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return store_ != nullptr ? store_->size()
-                             : (reads_ != nullptr ? reads_->size() : 0);
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  [[nodiscard]] bool packed() const noexcept {
-    return store_ != nullptr && store_->packed();
-  }
-
-  [[nodiscard]] std::uint32_t length(std::size_t i) const noexcept {
-    return store_ != nullptr
-               ? store_->length(i)
-               : static_cast<std::uint32_t>((*reads_)[i].seq.size());
-  }
-
-  [[nodiscard]] std::string_view name(std::size_t i) const noexcept {
-    return store_ != nullptr ? store_->name(i)
-                             : std::string_view((*reads_)[i].name);
-  }
-
-  [[nodiscard]] std::string_view seq(std::size_t i,
-                                     std::string& scratch) const {
-    return store_ != nullptr ? store_->seq(i, scratch) : (*reads_)[i].seq;
-  }
-
-  [[nodiscard]] std::string_view quals(std::size_t i,
-                                       std::string& scratch) const {
-    return store_ != nullptr ? store_->quals(i, scratch) : (*reads_)[i].quals;
-  }
-
-  [[nodiscard]] std::uint8_t code(std::size_t i,
-                                  std::uint32_t pos) const noexcept {
-    return store_ != nullptr ? store_->code(i, pos)
-                             : base_to_code((*reads_)[i].seq[pos]);
-  }
-
-  /// Rolling canonical k-mer scanner over read i: straight off the packed
-  /// words when packed, over the string otherwise. The view (and its
-  /// backing container) must outlive the scanner.
-  template <int MAX_K>
-  [[nodiscard]] KmerScanner<MAX_K> scanner(std::size_t i, int k) const {
-    if (packed()) return KmerScanner<MAX_K>(store_->arena().view(i), k);
-    if (store_ != nullptr)
-      return KmerScanner<MAX_K>(std::string_view(store_->plain()[i].seq), k);
-    return KmerScanner<MAX_K>(std::string_view((*reads_)[i].seq), k);
-  }
-
- private:
-  const ReadStore* store_ = nullptr;
-  const std::vector<Read>* reads_ = nullptr;
-};
+/// Non-owning handle on one ReadStore, for the stages that take several
+/// read sets at once (one per library).
+using ReadSetView = std::reference_wrapper<const ReadStore>;
 
 }  // namespace hipmer::seq

@@ -15,15 +15,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// tmp+rename through the fault-aware shared helper (io/fs_faults.hpp) —
-/// the final name never holds a partial file, and an injected crash
-/// leaves debris only where the startup sweep reclaims it.
-bool write_file_atomic(const fs::path& final_path, const std::byte* data,
-                       std::size_t size) {
-  return io::write_file_atomic(final_path, data, size) ==
-         io::AtomicWriteStatus::kOk;
-}
-
 std::string key_name(std::uint64_t key) {
   char name[24];
   std::snprintf(name, sizeof name, "%016llx",
@@ -154,8 +145,9 @@ bool ArtifactCache::store_ufx(std::uint64_t key,
   if (ec) return false;
 
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (!write_file_atomic(entry / ("ufx." + std::to_string(i)),
-                           shards[i].data(), shards[i].size()))
+    if (io::write_file_atomic(entry / ("ufx." + std::to_string(i)),
+                              shards[i].data(), shards[i].size()) !=
+        io::AtomicWriteStatus::kOk)
       return false;
   }
 
@@ -170,7 +162,8 @@ bool ArtifactCache::store_ufx(std::uint64_t key,
                              util::crc32c(shard.data(), shard.size()));
   const auto bytes = encode_cache_meta(meta);
   // Commit point: lookups only believe entries whose meta landed whole.
-  return write_file_atomic(entry / "meta.bin", bytes.data(), bytes.size());
+  return io::write_file_atomic(entry / "meta.bin", bytes.data(),
+                               bytes.size()) == io::AtomicWriteStatus::kOk;
 }
 
 }  // namespace hipmer::server

@@ -237,10 +237,10 @@ TEST(MerAligner, AlignsCleanReadsToTheRightPlace) {
   team.run([&](pgas::Rank& rank) {
     store.build(rank, rank.is_root() ? fx.contigs : std::vector<dbg::Contig>{});
     aligner.build_index(rank, store);
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += static_cast<std::size_t>(p))
-      mine.push_back(reads[i]);
+      mine.append(reads[i]);
     results[static_cast<std::size_t>(rank.id())] =
         aligner.align_reads(rank, store, mine, 0);
   });
@@ -280,7 +280,7 @@ TEST(MerAligner, ReverseStrandReadsAlignCorrectly) {
   MerAligner aligner(team, ac, 10000);
 
   // Hand-build reads: forward and reverse slices of contig 0.
-  std::vector<seq::Read> reads;
+  seq::ReadStore reads;
   const auto& contig_seq = fx.contigs[0].seq;
   seq::Read fwd;
   fwd.name = "t:0/0";
@@ -290,14 +290,14 @@ TEST(MerAligner, ReverseStrandReadsAlignCorrectly) {
   rev.name = "t:1/0";
   rev.seq = seq::revcomp(contig_seq.substr(300, 80));
   rev.quals.assign(80, 'I');
-  reads.push_back(fwd);
-  reads.push_back(rev);
+  reads.append(fwd);
+  reads.append(rev);
 
   std::vector<ReadAlignment> all;
   team.run([&](pgas::Rank& rank) {
     store.build(rank, rank.is_root() ? fx.contigs : std::vector<dbg::Contig>{});
     aligner.build_index(rank, store);
-    auto mine = rank.is_root() ? reads : std::vector<seq::Read>{};
+    auto mine = rank.is_root() ? reads : seq::ReadStore{};
     auto result = aligner.align_reads(rank, store, mine, 0);
     if (rank.is_root()) all = result;
   });
@@ -333,10 +333,10 @@ TEST(MerAligner, ToleratesSequencingErrors) {
   team.run([&](pgas::Rank& rank) {
     store.build(rank, rank.is_root() ? fx.contigs : std::vector<dbg::Contig>{});
     aligner.build_index(rank, store);
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += 4)
-      mine.push_back(reads[i]);
+      mine.append(reads[i]);
     std::map<std::uint64_t, bool> seen;
     for (const auto& a : aligner.align_reads(rank, store, mine, 0))
       seen[a.pair_id * 2 + static_cast<std::uint64_t>(a.mate)] = true;
@@ -364,19 +364,19 @@ TEST(MerAligner, RepetitiveSeedsAreSkippedNotWrong) {
   AlignerConfig ac;
   ac.seed_k = 21;
   MerAligner aligner(team, ac, 5000);
-  std::vector<seq::Read> reads;
+  seq::ReadStore reads;
   seq::Read r;
   r.name = "t:0/0";
   r.seq = unit.substr(50, 100);
   r.quals.assign(100, 'I');
-  reads.push_back(r);
+  reads.append(r);
   std::vector<ReadAlignment> all;
   team.run([&](pgas::Rank& rank) {
     store.build(rank, rank.is_root() ? std::vector<dbg::Contig>{c}
                                      : std::vector<dbg::Contig>{});
     aligner.build_index(rank, store);
     auto result = aligner.align_reads(
-        rank, store, rank.is_root() ? reads : std::vector<seq::Read>{}, 0);
+        rank, store, rank.is_root() ? reads : seq::ReadStore{}, 0);
     if (rank.is_root()) all = result;
   });
   // Any reported alignment must be a perfect-score placement.

@@ -234,12 +234,21 @@ void expect_truncations_rejected(const std::vector<std::byte>& bytes,
   EXPECT_TRUE(decode(bytes).has_value());
 }
 
+/// One plain store per library.
+std::vector<seq::ReadStore> plain_stores(
+    const std::vector<std::vector<seq::Read>>& libs) {
+  std::vector<seq::ReadStore> stores(libs.size());
+  for (std::size_t lib = 0; lib < libs.size(); ++lib)
+    for (const auto& read : libs[lib]) stores[lib].append(read);
+  return stores;
+}
+
 TEST(Artifacts, ReadsRoundTripAndTruncation) {
   std::vector<std::vector<seq::Read>> libs(2);
   libs[0].push_back(seq::Read{"lib0:0/0", "ACGT", "IIII"});
   libs[0].push_back(seq::Read{"lib0:0/1", "TTTT", "IIII"});
   libs[1].push_back(seq::Read{"weird name \t\n", "N", ""});
-  const auto bytes = ckpt::encode_reads_shard(libs);
+  const auto bytes = ckpt::encode_reads_shard(plain_stores(libs));
   const auto back = ckpt::decode_reads_shard(bytes);
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->size(), 2u);
@@ -268,8 +277,10 @@ TEST(Artifacts, ReshardReadsPreservesPairsAndIsIdentityForSameTeam) {
   const auto same = ckpt::reshard_reads(shards, writers);
   ASSERT_EQ(same.size(), shards.size());
   for (int s = 0; s < writers; ++s)
-    EXPECT_EQ(ckpt::encode_reads_shard(same[static_cast<std::size_t>(s)]),
-              ckpt::encode_reads_shard(shards[static_cast<std::size_t>(s)]));
+    EXPECT_EQ(
+        ckpt::encode_reads_shard(plain_stores(same[static_cast<std::size_t>(s)])),
+        ckpt::encode_reads_shard(
+            plain_stores(shards[static_cast<std::size_t>(s)])));
 
   const auto resharded = ckpt::reshard_reads(shards, 3);
   ASSERT_EQ(resharded.size(), 3u);
@@ -487,6 +498,63 @@ TEST(Checkpoint, KillAndResumeEveryStageByteIdentical) {
     EXPECT_EQ(resumed.distinct_kmers, expected.distinct_kmers) << kill.what;
     EXPECT_EQ(resumed.num_contigs, expected.num_contigs) << kill.what;
     EXPECT_EQ(resumed.contig_stats.n50, expected.contig_stats.n50) << kill.what;
+    fs::remove_all(dir);
+  }
+}
+
+/// Leading magic of the committed reads snapshot's first shard under `dir`.
+std::uint32_t reads_snapshot_magic(const fs::path& dir) {
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().filename() != "shard.0" ||
+        e.path().parent_path().filename().string().rfind("reads.", 0) != 0)
+      continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    std::uint32_t magic = 0;
+    in.read(reinterpret_cast<char*>(&magic), sizeof magic);
+    return magic;
+  }
+  return 0;
+}
+
+TEST(Checkpoint, ResumeAcrossPackedReadsToggleByteIdentical) {
+  // The reads snapshot's format follows the writer's stores ("RDP1" packed,
+  // "RDS1" plain); a resume decodes either into its own representation.
+  auto ds = sim::make_human_like(20000, 4242, 15.0);
+  pipeline::PipelineConfig plain = ckpt_config("");
+  plain.checkpoint.dir.clear();
+  pipeline::Pipeline reference(pgas::Topology{4, 2}, plain);
+  const auto expected = reference.run(ds.reads, ds.libraries);
+  ASSERT_FALSE(expected.scaffolds.empty());
+
+  for (const bool writer_packed : {true, false}) {
+    const std::string what = writer_packed ? "packed run resumed plain"
+                                           : "plain run resumed packed";
+    SCOPED_TRACE(what);
+    const auto dir = fresh_dir("toggle");
+    auto cfg = ckpt_config(dir);
+    cfg.packed_reads = writer_packed;
+    {
+      // Killed at the k-mer analysis boundary, after the reads snapshot.
+      pipeline::Pipeline victim(pgas::Topology{4, 2}, cfg);
+      victim.team().faults().set_plan(
+          pgas::FaultPlan{2, pipeline::kStageKmerAnalysis, 0, 0});
+      EXPECT_THROW((void)victim.run(ds.reads, ds.libraries), pgas::RankKilled);
+      EXPECT_TRUE(victim.team().faults().fired());
+    }
+    EXPECT_EQ(reads_snapshot_magic(dir),
+              writer_packed ? ckpt::kPackedReadsMagic : ckpt::kReadsMagic);
+
+    cfg.packed_reads = !writer_packed;
+    pipeline::Pipeline recovery(pgas::Topology{4, 2}, cfg);
+    const auto resumed = recovery.resume(ds.reads, ds.libraries);
+    // Resumed from the reads snapshot: restore, then straight to k-mer
+    // analysis (a from-scratch fallback would re-snapshot the reads first).
+    ASSERT_GE(resumed.stages.size(), 2u);
+    EXPECT_EQ(resumed.stages[0].name, pipeline::kStageRestore);
+    EXPECT_EQ(resumed.stages[1].name, pipeline::kStageKmerAnalysis);
+    expect_same_scaffolds(expected.scaffolds, resumed.scaffolds, what);
+    EXPECT_EQ(resumed.distinct_kmers, expected.distinct_kmers);
+    EXPECT_EQ(resumed.num_contigs, expected.num_contigs);
     fs::remove_all(dir);
   }
 }

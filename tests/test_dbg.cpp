@@ -28,11 +28,11 @@ std::vector<Contig> assemble_contigs(const std::vector<seq::Read>& reads,
   kc.k = k;
   kcount::KmerAnalysis ka(team, kc);
   team.run([&](pgas::Rank& rank) {
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += static_cast<std::size_t>(rank.nranks()))
-      mine.push_back(reads[i]);
-    ka.run(rank, mine);
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
   });
 
   std::size_t total_ufx = 0;

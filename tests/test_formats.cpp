@@ -131,11 +131,11 @@ TEST(Ufx, ShardRoundTripAcrossTeamSizes) {
     cfg.k = 21;
     kcount::KmerAnalysis ka(team, cfg);
     team.run([&](pgas::Rank& rank) {
-      std::vector<seq::Read> mine;
+      seq::ReadStore mine;
       for (std::size_t i = static_cast<std::size_t>(rank.id());
            i < reads.size(); i += 4)
-        mine.push_back(reads[i]);
-      ka.run(rank, mine);
+        mine.append(reads[i]);
+      ka.run(rank, {mine});
       EXPECT_TRUE(kcount::write_ufx_shard(rank, path, ka.ufx(rank.id())));
     });
     for (int r = 0; r < 4; ++r)

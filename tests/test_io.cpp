@@ -110,16 +110,18 @@ TEST_P(ParallelFastqParam, UnionOverRanksIsExactlyTheFile) {
   pgas::ThreadTeam team(pgas::Topology{nranks, 2});
   // Small block size to force multi-block assembly paths.
   ParallelFastqReader reader(path, /*block_size=*/1024);
-  std::vector<std::vector<seq::Read>> by_rank(static_cast<std::size_t>(nranks));
+  std::vector<seq::ReadStore> by_rank(static_cast<std::size_t>(nranks));
   team.run([&](pgas::Rank& rank) {
-    by_rank[static_cast<std::size_t>(rank.id())] = reader.read_my_records(rank);
+    reader.read_my_records(rank, by_rank[static_cast<std::size_t>(rank.id())]);
   });
 
   // Concatenation in rank order must equal the file exactly: no loss, no
   // duplication, order preserved.
   std::vector<seq::Read> combined;
-  for (const auto& part : by_rank)
-    combined.insert(combined.end(), part.begin(), part.end());
+  for (const auto& part : by_rank) {
+    const auto records = part.to_reads();
+    combined.insert(combined.end(), records.begin(), records.end());
+  }
   ASSERT_EQ(combined.size(), reads.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
     EXPECT_EQ(combined[i].name, reads[i].name) << i;
@@ -142,7 +144,10 @@ TEST(ParallelFastq, ChargesIoBytes) {
   ASSERT_TRUE(write_fastq(path, reads));
   pgas::ThreadTeam team(pgas::Topology{4, 2});
   ParallelFastqReader reader(path);
-  team.run([&](pgas::Rank& rank) { (void)reader.read_my_records(rank); });
+  std::vector<seq::ReadStore> by_rank(4);
+  team.run([&](pgas::Rank& rank) {
+    reader.read_my_records(rank, by_rank[static_cast<std::size_t>(rank.id())]);
+  });
   const auto stats = team.snapshot_all();
   std::uint64_t total_io = 0;
   for (const auto& s : stats) total_io += s.io_read_bytes;

@@ -154,11 +154,11 @@ AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
   KmerAnalysis ka(team, cfg);
   team.run([&](pgas::Rank& rank) {
     // Round-robin read distribution.
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id());
          i < all_reads.size(); i += static_cast<std::size_t>(rank.nranks()))
-      mine.push_back(all_reads[i]);
-    ka.run(rank, mine);
+      mine.append(all_reads[i]);
+    ka.run(rank, {mine});
   });
   AnalysisResult result;
   for (int r = 0; r < nranks; ++r)

@@ -204,7 +204,10 @@ TEST_F(CorruptFastq, ParallelReaderRejectsLengthMismatch) {
   pgas::ThreadTeam team(pgas::Topology{2, 2});
   io::ParallelFastqReader reader(path);
   EXPECT_THROW(
-      team.run([&](pgas::Rank& rank) { (void)reader.read_my_records(rank); }),
+      team.run([&](pgas::Rank& rank) {
+        seq::ReadStore mine;
+        reader.read_my_records(rank, mine);
+      }),
       std::runtime_error);
 }
 
@@ -214,7 +217,9 @@ TEST_F(CorruptFastq, EmptyFileYieldsNoRecords) {
   std::atomic<std::size_t> total{0};
   io::ParallelFastqReader reader(path);
   team.run([&](pgas::Rank& rank) {
-    total += reader.read_my_records(rank).size();
+    seq::ReadStore mine;
+    reader.read_my_records(rank, mine);
+    total += mine.size();
   });
   EXPECT_EQ(total.load(), 0u);
 }

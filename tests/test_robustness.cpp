@@ -83,11 +83,11 @@ TEST(ContigGenOptions, MinContigLenFilters) {
   kc.k = 21;
   kcount::KmerAnalysis ka(team, kc);
   team.run([&](pgas::Rank& rank) {
-    std::vector<seq::Read> mine;
+    seq::ReadStore mine;
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += 4)
-      mine.push_back(reads[i]);
-    ka.run(rank, mine);
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
   });
   std::size_t ufx = 0;
   for (int r = 0; r < 4; ++r) ufx += ka.ufx(r).size();
@@ -213,11 +213,11 @@ TEST(Robustness, AllReverseComplementedInputGivesSameAssembly) {
     kc.k = 21;
     kcount::KmerAnalysis ka(team, kc);
     team.run([&](pgas::Rank& rank) {
-      std::vector<seq::Read> mine;
+      seq::ReadStore mine;
       for (std::size_t i = static_cast<std::size_t>(rank.id());
            i < input.size(); i += 3)
-        mine.push_back(input[i]);
-      ka.run(rank, mine);
+        mine.append(input[i]);
+      ka.run(rank, {mine});
     });
     std::size_t ufx = 0;
     for (int r = 0; r < 3; ++r) ufx += ka.ufx(r).size();

@@ -330,14 +330,14 @@ class GapClosingFixture : public ::testing::Test {
     gap.left_contig = 0;
     gap.right_contig = 1;
     gap.gap_estimate = gap_estimate;
-    std::vector<seq::Read> my_reads;
+    seq::ReadStore my_reads;
     std::vector<align::ReadAlignment> my_alignments;
     for (std::size_t i = 0; i < reads.size(); ++i) {
       seq::Read r;
       r.name = "g:" + std::to_string(i) + "/0";
       r.seq = reads[i];
       r.quals.assign(r.seq.size(), 'I');
-      my_reads.push_back(r);
+      my_reads.append(r);
       // Claim the read aligns at contig 0's right end with overhang.
       align::ReadAlignment a;
       a.pair_id = i;
@@ -364,7 +364,7 @@ class GapClosingFixture : public ::testing::Test {
     team2.run([&](pgas::Rank& rank) {
       store2.build(rank, {left_, right_});
       rank.barrier();
-      closures = closer2.run(rank, {gap}, store2, {&my_reads}, my_alignments,
+      closures = closer2.run(rank, {gap}, store2, {my_reads}, my_alignments,
                              inserts);
     });
     return closures.empty() ? Closure{} : closures[0];

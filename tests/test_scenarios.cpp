@@ -118,8 +118,11 @@ TEST(Scenarios, LowQualityNeighborsDoNotCreateExtensions) {
   cfg.qual_threshold = 20;
   cfg.min_ext_count = 2;
   kcount::KmerAnalysis ka(team, cfg);
+  seq::ReadStore store;
+  for (const auto& r : reads) store.append(r);
+  const seq::ReadStore none;
   team.run([&](pgas::Rank& rank) {
-    ka.run(rank, rank.is_root() ? reads : std::vector<seq::Read>{});
+    ka.run(rank, {rank.is_root() ? store : none});
   });
 
   // The k-mer at positions [11, 32) has its right neighbor at position 32;

@@ -48,7 +48,7 @@ fs::path fresh_dir(const std::string& tag) {
 // ---- Protocol framing ----
 
 TEST(Protocol, FrameRoundTrip) {
-  for (const std::string text :
+  for (const std::string& text :
        {std::string("SUBMIT reads=a.fastq out=b.fasta"), std::string(""),
         std::string("END"), std::string("STATS queued=0")}) {
     // frame_line yields the wire form (trailing '\n'); unframe_line takes

@@ -98,6 +98,15 @@ inline seq::Read sample_read(int i) {
   return read;
 }
 
+/// One store per library, all in one representation.
+inline std::vector<seq::ReadStore> reads_stores(
+    const std::vector<std::vector<seq::Read>>& libs, bool packed) {
+  std::vector<seq::ReadStore> stores(libs.size(), seq::ReadStore(packed));
+  for (std::size_t lib = 0; lib < libs.size(); ++lib)
+    for (const auto& read : libs[lib]) stores[lib].append(read);
+  return stores;
+}
+
 inline align::ReadAlignment sample_alignment(int i) {
   align::ReadAlignment a;
   a.pair_id = 4200 + i;
@@ -233,42 +242,19 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
                      }});
   }
 
-  // ---- ckpt: reads shard (plain) ----
-  {
+  // ---- ckpt: reads shard (plain stores write RDS1, packed write RDP1) ----
+  for (const bool packed : {false, true}) {
     std::vector<std::vector<seq::Read>> libs(2);
     libs[0] = {sample_read(0), sample_read(1)};
     libs[1] = {sample_read(2)};
-    cases.push_back({"ckpt_reads_shard", ckpt::encode_reads_shard(libs),
-                     [](const Bytes& b) {
+    cases.push_back({packed ? "ckpt_packed_reads_shard" : "ckpt_reads_shard",
+                     ckpt::encode_reads_shard(reads_stores(libs, packed)),
+                     [packed](const Bytes& b) {
                        return guard([&]() -> Fingerprint {
                          auto libs2 = ckpt::decode_reads_shard(b);
                          if (!libs2) return std::nullopt;
-                         return ckpt::encode_reads_shard(*libs2);
-                       });
-                     }});
-  }
-
-  // ---- ckpt: reads shard (packed) ----
-  {
-    std::vector<seq::ReadStore> stores;
-    stores.emplace_back(true);
-    stores.back().append(sample_read(0));
-    stores.back().append(sample_read(1));
-    stores.emplace_back(true);
-    stores.back().append(sample_read(2));
-    cases.push_back({"ckpt_packed_reads_shard",
-                     ckpt::encode_packed_reads_shard(stores),
-                     [](const Bytes& b) {
-                       return guard([&]() -> Fingerprint {
-                         auto libs = ckpt::decode_reads_shard(b);
-                         if (!libs) return std::nullopt;
-                         std::vector<seq::ReadStore> stores2;
-                         for (const auto& reads : *libs) {
-                           stores2.emplace_back(true);
-                           for (const auto& read : reads)
-                             stores2.back().append(read);
-                         }
-                         return ckpt::encode_packed_reads_shard(stores2);
+                         return ckpt::encode_reads_shard(
+                             reads_stores(*libs2, packed));
                        });
                      }});
   }

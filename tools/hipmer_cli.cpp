@@ -247,14 +247,13 @@ int cmd_assemble(int argc, char** argv) {
       if (lib.for_contigging)
         readers.push_back(std::make_unique<io::ParallelFastqReader>(lib.fastq_path));
     probe_team.run([&](pgas::Rank& rank) {
-      std::vector<std::vector<seq::Read>> mine;
-      std::vector<const std::vector<seq::Read>*> sets;
-      for (auto& reader : readers) {
-        mine.push_back(reader->read_my_records(rank));
+      std::vector<seq::ReadStore> mine(readers.size(),
+                                       seq::ReadStore(cfg.packed_reads));
+      for (std::size_t lib = 0; lib < readers.size(); ++lib) {
+        readers[lib]->read_my_records(rank, mine[lib]);
         rank.barrier();
       }
-      for (const auto& m : mine) sets.push_back(&m);
-      probe.run(rank, sets);
+      probe.run(rank, std::vector<seq::ReadSetView>(mine.begin(), mine.end()));
     });
     cfg.kmer.min_count = kcount::choose_min_count(probe.histogram());
     std::printf("auto min-count: %u (histogram valley)\n", cfg.kmer.min_count);
