@@ -81,7 +81,9 @@ class Writer {
   void append(const void* data, std::size_t n) {
     // resize + memcpy rather than insert(end, p, p + n): the range insert
     // trips GCC 12's -Wstringop-overflow false positive when the growth
-    // path is inlined, and this form codegens identically.
+    // path is inlined, and this form codegens identically. An empty field
+    // may come with a null pointer, which memcpy must not see.
+    if (n == 0) return;
     const std::size_t old = buf_->size();
     buf_->resize(old + n);
     std::memcpy(buf_->data() + old, data, n);

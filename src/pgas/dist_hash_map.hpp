@@ -101,16 +101,13 @@ class DistHashMap {
 #endif
   {
     if (team.multiprocess()) {
-      // Inbound store batches: apply to the local shard, charging this
-      // process's mirror of the initiator's counters (global sums then
-      // match the threads fabric, where the initiator applied directly).
+      // Inbound store batches: the same apply a local hop runs, charged
+      // to this process's mirror of the initiator's counters.
       team.transport().set_handler(
           store_channel_,
           [this](int src, int dst, const std::byte* data, std::size_t size) {
             Rank initiator(*team_, src);
-            auto ops = map_wire::decode_batch<PendingOp>(data, size);
-            apply_store_batch(initiator, static_cast<std::uint32_t>(dst),
-                              ops);
+            apply_store_envelope(initiator, dst, data, size);
           });
       // Inbound lookup batches: answer from the local shard via a
       // fire-and-forget reply to the requesting process.
@@ -166,8 +163,7 @@ class DistHashMap {
   }
 
   [[nodiscard]] std::uint32_t owner_of(const K& key) const {
-    const std::uint64_t h = Hash{}(key);
-    return mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    return owner_of_hash(Hash{}(key));
   }
 
   // ---- fine-grained one-sided path ----
@@ -185,8 +181,7 @@ class DistHashMap {
                       to_site(hipmer_site));
 #endif
     const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    const std::uint32_t owner = owner_of_hash(h);
     rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
     apply_update(owner, h, key, delta, policy);
     bump_version();
@@ -202,8 +197,7 @@ class DistHashMap {
                        to_site(hipmer_site));
 #endif
     const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    const std::uint32_t owner = owner_of_hash(h);
     // The pipeline's fine-grained reads are owner-local (the batched path
     // handles remote reads); a remote fine-grained find on a multi-process
     // fabric would read an empty local mirror of the owner's shard.
@@ -221,53 +215,23 @@ class DistHashMap {
     return result;
   }
 
-  /// Lock the key's bucket and run `fn(V&)` in place if present. Returns
-  /// the functor's value wrapped in optional, or nullopt if the key is
-  /// absent. This is the primitive the traversal's claim/abort protocol and
-  /// the scaffolder's tie updates are built on.
-  template <typename Fn>
-  auto modify(Rank& rank, const K& key, Fn&& fn HIPMER_SITE_DEFAULT)
-      -> std::optional<decltype(fn(std::declval<V&>()))> {
-#if defined(HIPMER_CHECKED)
-    // An in-place RMW is a store for phase purposes.
-    checked_.on_store(rank.id(), CheckedTable::Path::kFine,
-                      to_site(hipmer_site));
-#endif
-    const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
-    // A closure cannot cross an address-space boundary; on a multi-process
-    // fabric use the registered-RMW path (register_rmw/rmw) instead.
-    assert(team_->is_local(static_cast<int>(owner)));
-    rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
-    Shard& shard = shards_[owner];
-    const std::size_t b = bucket_index(shard, h);
-    std::optional<decltype(fn(std::declval<V&>()))> result;
-    {
-      std::lock_guard<SpinMutex> lock(shard.locks[b]);
-      Entry* e = find_in_bucket_mut(shard.buckets[b], key);
-      if (e == nullptr) return std::nullopt;
-      result = fn(e->value);
-    }
-    bump_version();
-    return result;
-  }
-
-  // ---- registered read-modify-write (the shippable form of modify) ----
+  // ---- registered read-modify-write ----
   //
-  // modify() takes an arbitrary closure, which cannot cross an address
-  // space. A *registered* RMW names the operation up front — its captures
-  // become a POD argument block — so the owner process can execute it on a
-  // multi-process fabric from a [rmw-id, key, args] request. Registration
-  // runs in serial context during SPMD structure construction; every
-  // process constructs the same structures in the same order, so ids agree
-  // across the team without negotiation.
+  // An arbitrary closure cannot cross an address space, so the table's
+  // in-place RMW names the operation up front — its captures become a POD
+  // argument block — and the owner process can execute it on a
+  // multi-process fabric from a [rmw-id, key, args] request. This is the
+  // primitive the traversal's claim/abort protocol and the scaffolder's
+  // tie updates are built on. Registration runs in serial context during
+  // SPMD structure construction; every process constructs the same
+  // structures in the same order, so ids agree across the team without
+  // negotiation.
 
   using RmwId = std::uint32_t;
 
   /// Register `fn(V& value, const Args& args) -> Result`, executed under
   /// the owner's bucket lock when the key is present (an absent key yields
-  /// nullopt at the call site, exactly like modify()).
+  /// nullopt at the call site).
   template <typename Args, typename Result, typename Fn>
   RmwId register_rmw(Fn fn) {
     static_assert(std::is_trivially_copyable_v<Args> &&
@@ -292,10 +256,10 @@ class DistHashMap {
     return static_cast<RmwId>(rmws_.size() - 1);
   }
 
-  /// Execute a registered RMW against `key`'s owner: in place when the
-  /// owner shard lives in this address space (modify()'s exact semantics,
-  /// locking and accounting), over the fabric's request/response path
-  /// otherwise. Charging is identical on both paths and both fabrics.
+  /// Execute a registered RMW against `key`'s owner: in place under the
+  /// owner's bucket lock when the owner shard lives in this address space,
+  /// over the fabric's request/response path otherwise. Charging is
+  /// identical on both paths and both fabrics.
   template <typename Result, typename Args>
   std::optional<Result> rmw(Rank& rank, const K& key, RmwId id,
                             const Args& args HIPMER_SITE_DEFAULT) {
@@ -307,8 +271,7 @@ class DistHashMap {
                       std::is_trivially_copyable_v<Result>,
                   "rmw argument/result blocks must be trivially copyable");
     const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    const std::uint32_t owner = owner_of_hash(h);
     rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
     if (team_->is_local(static_cast<int>(owner))) {
       std::vector<std::byte> out;
@@ -348,8 +311,7 @@ class DistHashMap {
                       to_site(hipmer_site));
 #endif
     const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    const std::uint32_t owner = owner_of_hash(h);
     store_engine_.enqueue(rank.id(), owner, PendingOp{h, key, delta, policy},
                           [&](std::uint32_t dest, std::vector<PendingOp>& ops) {
                             ship_store_batch(rank, dest, ops);
@@ -402,8 +364,7 @@ class DistHashMap {
                        to_site(hipmer_site));
 #endif
     const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner =
-        mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
+    const std::uint32_t owner = owner_of_hash(h);
     if (static_cast<int>(owner) == rank.id()) {
       // Owner-local: answer from the shard directly, as find() would.
       const Shard& shard = shards_[owner];
@@ -636,14 +597,20 @@ class DistHashMap {
   static_assert(std::is_trivially_copyable_v<LookupReq>,
                 "DistHashMap lookup requests must be wire-serializable");
 
-  /// Receiver-side apply for one store envelope (run on the initiator's
-  /// thread — synchronous simulated delivery). Runs exactly once per
-  /// distinct envelope: the transport dedups retransmits, so CommStats
-  /// charging stays inside, identical to the pre-transport accounting.
+  /// Receiver-side apply for one store envelope, charged to `initiator`:
+  /// the sending rank itself on a local hop, or this process's mirror of
+  /// its counters when the envelope crossed the fabric (global sums then
+  /// match across fabrics). Runs exactly once per distinct envelope: the
+  /// transport dedups retransmits.
+  void apply_store_envelope(Rank& initiator, int dst, const std::byte* data,
+                            std::size_t size) {
+    auto ops = map_wire::decode_batch<PendingOp>(data, size);
+    apply_store_batch(initiator, static_cast<std::uint32_t>(dst), ops);
+  }
+
   auto store_deliver(Rank& rank) {
     return [this, &rank](int dst, const std::byte* data, std::size_t size) {
-      auto ops = map_wire::decode_batch<PendingOp>(data, size);
-      apply_store_batch(rank, static_cast<std::uint32_t>(dst), ops);
+      apply_store_envelope(rank, dst, data, size);
     };
   }
 
@@ -700,7 +667,9 @@ class DistHashMap {
     disable_read_cache(rank);
     store_engine_.clear(rank.id());
     lookup_engine_.clear(rank.id());
-    outstanding_ = 0;
+    // Reply accounting belongs to the process's one rank; on the threads
+    // fabric it stays 0 and every rank may be degrading at once.
+    if (team_->multiprocess()) outstanding_ = 0;
   }
 
   // ---- multi-process fabric plumbing ----
@@ -773,6 +742,11 @@ class DistHashMap {
                       req.key, req.args.data(), req.args.size(), out);
     if (present) bump_version();
     return map_wire::encode_rmw_response(present, out);
+  }
+
+  /// Owner mapping: the installed mapper (oracle partitioning) or h % P.
+  [[nodiscard]] std::uint32_t owner_of_hash(std::uint64_t h) const {
+    return mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
   }
 
   static std::size_t bucket_index(const Shard& shard, std::uint64_t h) {

@@ -252,7 +252,7 @@ class CheckedTable {
   void set_name(std::string name);
   [[nodiscard]] std::string name() const;
 
-  /// Validate + record a store (update / modify / buffered enqueue /
+  /// Validate + record a store (update / rmw / buffered enqueue /
   /// local erase). kLocal stores skip the mixed-access rule (owner-side
   /// compaction is not a communication path) but still conflict with
   /// same-epoch lookups from other ranks.

@@ -2,11 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "io/wire.hpp"
 #include "pgas/aggregating_engine.hpp"
 #include "pgas/checked.hpp"
 #include "pgas/phase_checker.hpp"
@@ -32,6 +33,24 @@
 namespace hipmer::pgas {
 
 class ShuffleExchange {
+  // Defined ahead of their callers: deliver_from deduces its return type.
+  /// Delivery of one batch from `src`: append its framed bytes to
+  /// inbox_[dst][src]. Only src's thread (or, across processes, dst's
+  /// inbound handler) ever writes that cell and only dst reads it after
+  /// the collect barrier, so the grid needs no locks.
+  void append_inbox(int src, int dst, const std::byte* data,
+                    std::size_t size) {
+    auto& stream =
+        inbox_[static_cast<std::size_t>(dst)][static_cast<std::size_t>(src)];
+    stream.insert(stream.end(), data, data + size);
+  }
+
+  auto deliver_from(int src) {
+    return [this, src](int dst, const std::byte* data, std::size_t size) {
+      append_inbox(src, dst, data, size);
+    };
+  }
+
  public:
   ShuffleExchange(ThreadTeam& team, const std::string& name,
                   std::size_t flush_threshold = 64)
@@ -58,9 +77,7 @@ class ShuffleExchange {
       team.transport().set_handler(
           channel_,
           [this](int src, int dst, const std::byte* data, std::size_t size) {
-            auto& stream = inbox_[static_cast<std::size_t>(dst)]
-                                 [static_cast<std::size_t>(src)];
-            stream.insert(stream.end(), data, data + size);
+            append_inbox(src, dst, data, size);
           });
     }
   }
@@ -95,13 +112,7 @@ class ShuffleExchange {
                           std::vector<std::vector<std::byte>>& batch) {
       ship(rank, d, batch);
     });
-    team_->transport().drain(
-        me, channel_, rank.stats(),
-        [this, me](int dst, const std::byte* data, std::size_t size) {
-          auto& stream = inbox_[static_cast<std::size_t>(dst)]
-                               [static_cast<std::size_t>(me)];
-          stream.insert(stream.end(), data, data + size);
-        });
+    team_->transport().drain(me, channel_, rank.stats(), deliver_from(me));
     rank.barrier();
 #if defined(HIPMER_CHECKED)
     // The read side of the exchange: everything was flushed and drained
@@ -111,16 +122,14 @@ class ShuffleExchange {
 #endif
     std::vector<std::vector<std::byte>> records;
     for (auto& stream : inbox_[static_cast<std::size_t>(me)]) {
-      std::size_t pos = 0;
-      while (pos + 4 <= stream.size()) {
-        std::uint32_t len = 0;
-        std::memcpy(&len, stream.data() + pos, 4);
-        pos += 4;
-        if (pos + len > stream.size()) break;
-        records.emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(pos),
-                             stream.begin() +
-                                 static_cast<std::ptrdiff_t>(pos + len));
-        pos += len;
+      // A stream is whole batches of whole records; a record that runs off
+      // the end is a framing bug, so the checked getter throws.
+      io::wire::Reader r(stream);
+      while (!r.done()) {
+        const std::uint32_t len = r.get_u32_checked("shuffle record length");
+        r.require(len, "shuffle record");  // before the allocation
+        auto& rec = records.emplace_back(len);
+        if (len > 0) r.get_raw(rec.data(), len, "shuffle record");
       }
       stream.clear();
       stream.shrink_to_fit();
@@ -130,10 +139,7 @@ class ShuffleExchange {
   }
 
  private:
-  /// Frame a batch (u32 length prefix per record) and ship it. Delivery
-  /// appends the framed bytes into inbox_[dst][src]; only src's thread
-  /// ever writes that cell and only dst reads it after the collect
-  /// barrier, so the grid needs no locks.
+  /// Frame a batch ([u32 len][bytes] per record) and ship it.
   void ship(Rank& rank, std::uint32_t dest,
             std::vector<std::vector<std::byte>>& batch) {
     if (batch.empty()) return;
@@ -141,22 +147,14 @@ class ShuffleExchange {
     for (const auto& rec : batch) total += 4 + rec.size();
     std::vector<std::byte> payload;
     payload.reserve(total);
-    for (const auto& rec : batch) {
-      const auto len = static_cast<std::uint32_t>(rec.size());
-      const auto* lp = reinterpret_cast<const std::byte*>(&len);
-      payload.insert(payload.end(), lp, lp + 4);
-      payload.insert(payload.end(), rec.begin(), rec.end());
-    }
-    const int src = rank.id();
+    io::wire::Writer w(payload);
+    for (const auto& rec : batch)
+      w.put_bytes(std::string_view(reinterpret_cast<const char*>(rec.data()),
+                                   rec.size()));
     rank.charge_message(static_cast<int>(dest), payload.size(), batch.size());
-    team_->transport().send(
-        src, static_cast<int>(dest), channel_, std::move(payload),
-        rank.stats(),
-        [this, src](int dst, const std::byte* data, std::size_t size) {
-          auto& stream = inbox_[static_cast<std::size_t>(dst)]
-                               [static_cast<std::size_t>(src)];
-          stream.insert(stream.end(), data, data + size);
-        });
+    team_->transport().send(rank.id(), static_cast<int>(dest), channel_,
+                            std::move(payload), rank.stats(),
+                            deliver_from(rank.id()));
   }
 
   ThreadTeam* team_;

@@ -71,107 +71,15 @@ void Transport::on_wire(ChannelId ch, int src, int dst,
   assert(chan.handler);
   // This process owns the receiver half of link (ch, src, dst): recv seq
   // and reorder buffer. The sender half lives in src's process.
-  Link& link = link_of(chan, src, dst);
-  std::vector<std::byte> env_bytes(data, data + size);
-  receive(ch, link, env_bytes, stats,
+  receive(link_of(chan, src, dst), data, size, stats,
           [&](int d, const std::byte* p, std::size_t n) {
             chan.handler(src, d, p, n);
           });
 }
 
 void Transport::ship_remote(ChannelId ch, int dst,
-                            const std::vector<std::byte>& wire) {
-  fabric_->ship(ch, my_rank_, dst, wire);
-}
-
-void Transport::release_limbo_remote(ChannelId ch, Link& link, int dst) {
-  for (auto& held : link.limbo) --held.countdown;
-  while (!link.limbo.empty() && link.limbo.front().countdown <= 0) {
-    auto env = std::move(link.limbo.front().env);
-    link.limbo.pop_front();
-    ship_remote(ch, dst, env);
-  }
-}
-
-void Transport::send_remote(ChannelId ch, Channel& chan, Link& link, int src,
-                            int dst, std::vector<std::byte>&& wire,
-                            std::uint64_t seq, CommStats& stats) {
-  // Mirror of send()'s fate loop. Because fates are pure hashes of
-  // (seed, channel, src, dst, seq, attempt), the sender knows each
-  // attempt's outcome without an ack: a delivered or duplicated frame is
-  // acked, a corrupted frame will fail the receiver's CRC (ship it anyway
-  // so the receiver counts the corruption), a dropped frame never leaves
-  // this process. Retry counts, histograms and backoff accounting match
-  // the threads fabric exactly for the same seed.
-  const bool lossy =
-      blackholed(src, dst) || (chaos_on_ && chan.probs.any());
-  if (!lossy) {
-    ship_remote(ch, dst, wire);
-    chan.hist[0].fetch_add(1, std::memory_order_relaxed);
-    release_limbo_remote(ch, link, dst);
-    return;
-  }
-
-  int attempt = 0;
-  for (;;) {
-    bool acked = false;
-    bool in_network = false;
-    ChaosFate fate = blackholed(src, dst)
-                         ? ChaosFate::kDrop
-                         : chaos_fate(chan.probs, plan_.seed, ch, src, dst,
-                                      seq, attempt);
-    switch (fate) {
-      case ChaosFate::kDeliver:
-        ship_remote(ch, dst, wire);
-        acked = true;
-        break;
-      case ChaosFate::kDrop:
-        break;  // lost in the fabric
-      case ChaosFate::kDuplicate:
-        ship_remote(ch, dst, wire);
-        ship_remote(ch, dst, wire);  // receiver dedups the second copy
-        acked = true;
-        break;
-      case ChaosFate::kCorrupt: {
-        // Same byte-flip the threads fabric applies; the fabric frame's
-        // own CRC is computed over the already-corrupted envelope, so the
-        // frame passes and the *envelope* CRC fails at the receiver.
-        std::vector<std::byte> bad = wire;
-        const std::uint64_t h =
-            chaos_mix(plan_.seed, ch, src, dst, seq,
-                      0x636f7272ULL ^ static_cast<std::uint64_t>(attempt));
-        const std::size_t pos = static_cast<std::size_t>(h % bad.size());
-        const auto bit = static_cast<unsigned>((h >> 32) & 7);
-        bad[pos] ^= static_cast<std::byte>(1u << bit);
-        ship_remote(ch, dst, bad);
-        break;
-      }
-      case ChaosFate::kReorder:
-        link.limbo.push_back(Link::Held{std::move(wire), 1});
-        in_network = true;
-        break;
-      case ChaosFate::kDelay:
-        link.limbo.push_back(Link::Held{std::move(wire), 2});
-        in_network = true;
-        break;
-    }
-    if (in_network) return;  // ships on a later release/drain
-    if (acked) {
-      const std::size_t bucket =
-          static_cast<std::size_t>(attempt) < kHistBuckets - 1
-              ? static_cast<std::size_t>(attempt)
-              : kHistBuckets - 1;
-      chan.hist[bucket].fetch_add(1, std::memory_order_relaxed);
-      release_limbo_remote(ch, link, dst);
-      return;
-    }
-    ++attempt;
-    stats.add_transport_retry();
-    chan.backoff_ticks.fetch_add(backoff_ticks(ch, src, dst, seq, attempt),
-                                 std::memory_order_relaxed);
-    if (attempt >= max_attempts_)
-      declare_suspect(src, dst, chan, link, attempt);
-  }
+                            const std::vector<std::byte>& frame) {
+  fabric_->ship(ch, my_rank_, dst, frame);
 }
 
 Transport::ChannelId Transport::open_channel(std::string name) {

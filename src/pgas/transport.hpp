@@ -22,11 +22,9 @@
 
 /// Lossy-fabric transport under the aggregating comm paths.
 ///
-/// The SPMD simulator delivers batches by running the receiver-side apply
-/// function directly on the sender's thread — a perfect fabric. This layer
-/// interposes the delivery-guarantee machinery a real network backend
-/// would need, so the protocol above (DistHashMap's batched stores and
-/// lookups) is exercised against loss, duplication, reordering and
+/// This layer interposes the delivery-guarantee machinery a real network
+/// backend would need, so the protocol above (DistHashMap's batched stores
+/// and lookups) is exercised against loss, duplication, reordering and
 /// corruption instead of assuming exactly-once in-order delivery:
 ///
 ///   - every batch travels in a CRC-32C-framed *envelope* carrying a
@@ -41,17 +39,28 @@
 ///     caller can degrade (drop caches, clear in-flight rows) before the
 ///     pipeline resumes from its last checkpoint.
 ///
+/// One fate loop serves both fabrics. The sender draws each attempt's
+/// fate (deliver, drop, duplicate, corrupt, reorder, delay) from a pure
+/// hash, so it knows the outcome without an ack; every frame that leaves
+/// the sender takes one *hop*. When the destination's half of the link is
+/// in this process the hop runs the receiver state machine synchronously
+/// on the sender's thread, exactly like the one-sided ops above it;
+/// otherwise it ships the frame over the multi-process fabric, whose
+/// inbound side runs the same state machine via on_wire. Retry counts,
+/// histograms and backoff accounting are therefore identical on both
+/// fabrics for the same seed.
+///
 /// Faults are injected by a seeded deterministic ChaosPlan (chaos.hpp);
 /// with no plan armed, every envelope still runs the full seq/CRC protocol
 /// but always takes the clean-delivery path, so the machinery is exercised
 /// (and stays TSan-clean) on every ordinary test run.
 ///
 /// Threading: all state for link (channel, src, dst) is read and written
-/// only by rank `src`'s thread — delivery is simulated synchronously on
-/// the initiator, exactly like the one-sided ops above it — so links need
-/// no locks. Channel registration happens in serial context (structure
-/// constructors between team.run calls); per-channel chaos counters are
-/// relaxed atomics because all ranks bump them.
+/// only by rank `src`'s thread (on a multi-process fabric, its receiver
+/// half only by dst's process), so links need no locks. Channel
+/// registration happens in serial context (structure constructors between
+/// team.run calls); per-channel chaos counters are relaxed atomics because
+/// all ranks bump them.
 namespace hipmer::pgas {
 
 class Fabric;
@@ -111,11 +120,9 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Attach the delivery fabric (called once by ThreadTeam before any
-  /// traffic). On a multi-process fabric, sends to remote ranks ship the
+  /// traffic). On a multi-process fabric, hops to remote ranks ship the
   /// framed envelope over it instead of running the receiver state machine
-  /// locally; the protocol above (seq/dedup/reorder/retry/chaos fates) is
-  /// unchanged — the sender computes chaos fates deterministically, so it
-  /// knows the outcome of every attempt without an ack round-trip.
+  /// locally; the fate loop is the same either way.
   void attach_fabric(Fabric& fabric);
 
   /// Whether `rank`'s receive state machine lives in another process.
@@ -124,9 +131,9 @@ class Transport {
   }
 
   /// Receiver-side apply function for envelopes arriving over a
-  /// multi-process fabric, registered per channel (serial context). The
-  /// threads fabric never uses it — local delivery stays the inline
-  /// `deliver` callable handed to send()/drain().
+  /// multi-process fabric, registered per channel (serial context). Local
+  /// hops never use it — they apply through the `deliver` callable handed
+  /// to send()/drain().
   using WireHandler = std::function<void(int src, int dst,
                                          const std::byte* data,
                                          std::size_t size)>;
@@ -188,7 +195,9 @@ class Transport {
   /// exactly once per distinct envelope, in per-link seq order, and never
   /// for duplicates. It may be invoked zero times now (envelope held in
   /// the in-network limbo under reorder/delay chaos) — callers drain at
-  /// phase boundaries. Throws PeerSuspect after the retry deadline.
+  /// phase boundaries. When `dst` lives in another process, the channel's
+  /// registered handler applies there instead, under the same rules.
+  /// Throws PeerSuspect after the retry deadline.
   template <typename Deliver>
   void send(int src, int dst, ChannelId ch, std::vector<std::byte> payload,
             CommStats& stats, Deliver&& deliver);
@@ -221,8 +230,8 @@ class Transport {
   struct Link {
     std::uint64_t next_send_seq = 0;
     std::uint64_t next_recv_seq = 0;
-    /// Received ahead of sequence, keyed by seq (framed envelope bytes).
-    std::map<std::uint64_t, std::vector<std::byte>> reorder;
+    /// Received ahead of sequence, keyed by seq (decoded envelopes).
+    std::map<std::uint64_t, Envelope> reorder;
     /// In-network envelopes (reorder/delay fates): released FIFO when
     /// `countdown` later sends complete on this link, or at drain().
     struct Held {
@@ -282,30 +291,29 @@ class Transport {
     return (base << shift) + jitter;
   }
 
-  enum class Receipt { kAck, kRejected };
-
-  /// Receiver-side state machine, run on the sender's thread (synchronous
-  /// simulated delivery). Dedup/reorder decisions precede the user apply;
-  /// `next_recv_seq` advances *before* deliver runs so an envelope whose
-  /// handler throws mid-apply is never re-applied by a retry (idempotence
-  /// under at-least-once).
+  /// Receiver-side state machine for this process's half of a link: run
+  /// on the sender's thread when both halves are local, from on_wire when
+  /// the envelope crossed the fabric. Dedup/reorder decisions precede the
+  /// user apply; `next_recv_seq` advances *before* deliver runs so an
+  /// envelope whose handler throws mid-apply is never re-applied by a
+  /// retry (idempotence under at-least-once). A frame that fails to decode
+  /// is counted and dropped; the sender, which computed the same fate,
+  /// retransmits.
   template <typename Deliver>
-  Receipt receive(ChannelId ch, Link& link,
-                  const std::vector<std::byte>& env_bytes, CommStats& stats,
-                  Deliver&& deliver) {
+  void receive(Link& link, const std::byte* data, std::size_t size,
+               CommStats& stats, Deliver&& deliver) {
     Envelope env;
     try {
-      env = decode_envelope(env_bytes.data(), env_bytes.size());
+      env = decode_envelope(data, size);
     } catch (const io::wire::Error&) {
-      // Truncated or corrupt frame: reject so the sender retransmits.
       stats.add_transport_corrupt();
-      return Receipt::kRejected;
+      return;
     }
     if (env.seq < link.next_recv_seq) {
       // Duplicate of an envelope already applied (or a retransmit racing
       // its own late ack): idempotent drop.
       stats.add_transport_dup();
-      return Receipt::kAck;
+      return;
     }
     if (env.seq > link.next_recv_seq) {
       // Out of sequence: hold until the gap fills. A duplicate of an
@@ -314,9 +322,9 @@ class Transport {
         stats.add_transport_dup();
       } else {
         stats.add_transport_reorder();
-        link.reorder.emplace(env.seq, env_bytes);
+        link.reorder.emplace(env.seq, std::move(env));
       }
-      return Receipt::kAck;
+      return;
     }
     link.next_recv_seq = env.seq + 1;  // advance BEFORE apply (idempotence)
     deliver(static_cast<int>(env.dst), env.payload.data(),
@@ -327,41 +335,49 @@ class Transport {
     while (!link.reorder.empty() &&
            link.reorder.begin()->first == link.next_recv_seq) {
       auto node = link.reorder.extract(link.reorder.begin());
-      Envelope next = decode_envelope(node.mapped().data(),
-                                      node.mapped().size());
+      const Envelope& next = node.mapped();
       link.next_recv_seq = next.seq + 1;
       deliver(static_cast<int>(next.dst), next.payload.data(),
               next.payload.size());
     }
-    (void)ch;
-    return Receipt::kAck;
   }
 
-  /// Count down and release in-network envelopes after a completed send
-  /// on the same link. Pops before applying so reentrant sends from a
-  /// deliver handler never see a half-released deque.
+  /// One envelope crossing the fabric toward `dst`: the receiver state
+  /// machine runs right here when dst's half of the link is in this
+  /// process, otherwise the frame ships to dst's process (whose on_wire
+  /// runs the same state machine). The only fabric-dependent step.
   template <typename Deliver>
-  void release_limbo(ChannelId ch, Link& link, CommStats& stats,
-                     Deliver&& deliver) {
-    for (auto& held : link.limbo) --held.countdown;
-    while (!link.limbo.empty() && link.limbo.front().countdown <= 0) {
+  void hop(ChannelId ch, Link& link, int dst,
+           const std::vector<std::byte>& frame, CommStats& stats,
+           Deliver&& deliver) {
+    if (remote(dst)) {
+      ship_remote(ch, dst, frame);
+    } else {
+      receive(link, frame.data(), frame.size(), stats, deliver);
+    }
+  }
+
+  /// Release in-network envelopes in FIFO order: after a completed send,
+  /// count every one down and release those that expired; with `all`
+  /// (drain), release everything. Pops before each hop so reentrant sends
+  /// from a deliver handler never see a half-released deque.
+  template <typename Deliver>
+  void release_limbo(ChannelId ch, Link& link, int dst, CommStats& stats,
+                     Deliver&& deliver, bool all) {
+    if (!all)
+      for (auto& held : link.limbo) --held.countdown;
+    while (!link.limbo.empty() &&
+           (all || link.limbo.front().countdown <= 0)) {
       auto env = std::move(link.limbo.front().env);
       link.limbo.pop_front();
-      receive(ch, link, env, stats, deliver);  // pristine bytes: always acked
+      hop(ch, link, dst, env, stats, deliver);  // pristine bytes: always acked
     }
   }
 
   [[noreturn]] void declare_suspect(int src, int dst, Channel& chan,
                                     Link& link, int attempts);
 
-  /// Remote-destination counterpart of send()'s fate loop: identical
-  /// chaos decisions and retry/histogram accounting, but attempts ship
-  /// envelopes over the fabric instead of running receive() locally.
-  void send_remote(ChannelId ch, Channel& chan, Link& link, int src, int dst,
-                   std::vector<std::byte>&& wire, std::uint64_t seq,
-                   CommStats& stats);
-  void ship_remote(ChannelId ch, int dst, const std::vector<std::byte>& wire);
-  void release_limbo_remote(ChannelId ch, Link& link, int dst);
+  void ship_remote(ChannelId ch, int dst, const std::vector<std::byte>& frame);
 
   int nranks_;
   FaultInjector* faults_;
@@ -403,49 +419,40 @@ void Transport::send(int src, int dst, ChannelId ch,
   env.payload = std::move(payload);
   std::vector<std::byte> wire = frame_envelope(env);
 
-  if (remote(dst)) {
-    // The receiver's state machine lives in dst's process; `deliver` is
-    // unused there (the channel's registered handler applies instead).
-    send_remote(ch, chan, link, src, dst, std::move(wire), env.seq, stats);
-    return;
-  }
-
-  // Loopback (self-send) and chaos-off traffic still runs the full
-  // seq/CRC/dedup protocol, but the fabric never misbehaves: a self-send
-  // never crosses the network, even on a blackholed rank.
+  // Self-sends and chaos-off traffic still run the full seq/CRC/dedup
+  // protocol, but the fabric never misbehaves: a self-send never crosses
+  // the network, even on a blackholed rank. Fates are pure hashes of
+  // (seed, channel, src, dst, seq, attempt), so the sender knows each
+  // attempt's outcome without an ack round-trip — on either fabric.
   const bool lossy =
       src != dst && (blackholed(src, dst) || (chaos_on_ && chan.probs.any()));
-  if (!lossy) {
-    receive(ch, link, wire, stats, deliver);
-    chan.hist[0].fetch_add(1, std::memory_order_relaxed);
-    release_limbo(ch, link, stats, deliver);
-    return;
-  }
-
   int attempt = 0;
   for (;;) {
     bool acked = false;
-    bool in_network = false;
-    ChaosFate fate = blackholed(src, dst)
-                         ? ChaosFate::kDrop
-                         : chaos_fate(chan.probs, plan_.seed, ch, src, dst,
-                                      env.seq, attempt);
+    const ChaosFate fate =
+        !lossy                 ? ChaosFate::kDeliver
+        : blackholed(src, dst) ? ChaosFate::kDrop
+                               : chaos_fate(chan.probs, plan_.seed, ch, src,
+                                            dst, env.seq, attempt);
     switch (fate) {
       case ChaosFate::kDeliver:
-        acked = receive(ch, link, wire, stats, deliver) == Receipt::kAck;
+        hop(ch, link, dst, wire, stats, deliver);
+        acked = true;
         break;
       case ChaosFate::kDrop:
         break;  // lost in the fabric
-      case ChaosFate::kDuplicate: {
+      case ChaosFate::kDuplicate:
         // Fabric-level duplication: the same frame arrives twice; the
-        // second copy is deduped by the receiver (seq < expected).
-        acked = receive(ch, link, wire, stats, deliver) == Receipt::kAck;
-        receive(ch, link, wire, stats, deliver);
+        // receiver dedups the second copy (seq < expected).
+        hop(ch, link, dst, wire, stats, deliver);
+        hop(ch, link, dst, wire, stats, deliver);
+        acked = true;
         break;
-      }
       case ChaosFate::kCorrupt: {
-        // Flip one byte of a copy (the sender keeps the pristine frame
-        // for the retransmit). The receiver's CRC rejects it.
+        // Flip one bit of a copy (the sender keeps the pristine frame for
+        // the retransmit); the receiver's envelope CRC rejects it. Across
+        // processes the fabric frame's own CRC covers the already-flipped
+        // envelope, so the frame passes and the envelope check fails.
         std::vector<std::byte> bad = wire;
         const std::uint64_t h =
             chaos_mix(plan_.seed, ch, src, dst, env.seq,
@@ -453,26 +460,23 @@ void Transport::send(int src, int dst, ChannelId ch,
         const std::size_t pos = static_cast<std::size_t>(h % bad.size());
         const auto bit = static_cast<unsigned>((h >> 32) & 7);
         bad[pos] ^= static_cast<std::byte>(1u << bit);
-        receive(ch, link, bad, stats, deliver);  // rejected: CRC mismatch
+        hop(ch, link, dst, bad, stats, deliver);
         break;
       }
       case ChaosFate::kReorder:
-        link.limbo.push_back(Link::Held{std::move(wire), 1});
-        in_network = true;
-        break;
       case ChaosFate::kDelay:
-        link.limbo.push_back(Link::Held{std::move(wire), 2});
-        in_network = true;
-        break;
+        // Held in the network; acks on a later release or drain.
+        link.limbo.push_back(
+            Link::Held{std::move(wire), fate == ChaosFate::kReorder ? 1 : 2});
+        return;
     }
-    if (in_network) return;  // will ack on a later release/drain
     if (acked) {
       const std::size_t bucket = static_cast<std::size_t>(attempt) <
                                          kHistBuckets - 1
                                      ? static_cast<std::size_t>(attempt)
                                      : kHistBuckets - 1;
       chan.hist[bucket].fetch_add(1, std::memory_order_relaxed);
-      release_limbo(ch, link, stats, deliver);
+      release_limbo(ch, link, dst, stats, deliver, false);
       return;
     }
     ++attempt;
@@ -492,25 +496,12 @@ void Transport::drain(int src, ChannelId ch, CommStats& stats,
   if (row == nullptr) return;
   for (int dst = 0; dst < nranks_; ++dst) {
     Link& link = (*row)[static_cast<std::size_t>(dst)];
-    if (remote(dst)) {
-      // Ship everything still in the simulated network; the receiver's
-      // reorder buffer empties once the late envelopes land (guaranteed
-      // applied before the next barrier release by router FIFO order).
-      while (!link.limbo.empty()) {
-        auto env = std::move(link.limbo.front().env);
-        link.limbo.pop_front();
-        ship_remote(ch, dst, env);
-      }
-      continue;
-    }
-    while (!link.limbo.empty()) {
-      auto env = std::move(link.limbo.front().env);
-      link.limbo.pop_front();
-      receive(ch, link, env, stats, deliver);
-    }
-    // Limbo held the only gaps; once it drains, everything buffered
-    // out-of-sequence has been applied.
-    assert(link.reorder.empty());
+    release_limbo(ch, link, dst, stats, deliver, true);
+    // Limbo held the only gaps; once it drains, a local receiver has
+    // applied everything it buffered out of sequence. A remote receiver's
+    // buffer empties once the late frames land, which router FIFO order
+    // guarantees before the next barrier release.
+    assert(remote(dst) || link.reorder.empty());
   }
 }
 

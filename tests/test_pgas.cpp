@@ -304,23 +304,27 @@ TEST(DistHashMap, IfPresentPolicySkipsNewKeys) {
   });
 }
 
-TEST(DistHashMap, ModifyInPlace) {
+TEST(DistHashMap, RegisteredRmwInPlace) {
   ThreadTeam team(Topology{3, 3});
   Map map(team, Map::Config{.global_capacity = 64, .flush_threshold = 4});
+  // Registered in serial context, like every structure's RMWs.
+  const auto inc = map.register_rmw<std::uint64_t, std::uint64_t>(
+      [](std::uint64_t& v, const std::uint64_t& by) {
+        v += by;
+        return v;
+      });
   team.run([&](Rank& rank) {
     if (rank.is_root()) map.update(rank, 7u, 100);
     rank.barrier();
-    const auto r = map.modify(rank, 7u, [](std::uint64_t& v) {
-      ++v;
-      return v;
-    });
+    const auto r = map.rmw<std::uint64_t>(rank, 7u, inc, std::uint64_t{1});
     ASSERT_TRUE(r.has_value());
     rank.barrier();
     EXPECT_EQ(map.find(rank, 7u).value_or(0), 103u);  // 100 + one per rank
-    // modify() is a store: reopen the table with a barrier before issuing
+    // rmw() is a store: reopen the table with a barrier before issuing
     // it, or it races the find() other ranks run in the same phase.
     rank.barrier();
-    EXPECT_FALSE(map.modify(rank, 8u, [](std::uint64_t& v) { return v; }).has_value());
+    EXPECT_FALSE(
+        map.rmw<std::uint64_t>(rank, 8u, inc, std::uint64_t{0}).has_value());
   });
 }
 

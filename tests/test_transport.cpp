@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "pgas/aggregating_engine.hpp"
 #include "pgas/chaos.hpp"
 #include "pgas/comm_stats.hpp"
+#include "pgas/fabric.hpp"
 #include "pgas/fault.hpp"
 #include "pgas/transport.hpp"
 
@@ -478,6 +480,141 @@ TEST(Transport, HandlerExceptionMidApplyIsNotReapplied) {
   tp.send(0, 1, ch, payload_of(1), stats, deliver);
   EXPECT_EQ(applies, 2);
   EXPECT_EQ(stats.snapshot().transport_dups, 0u);
+}
+
+/// Fabric stand-in that records every shipped frame, so a test can replay
+/// it into the peer process's Transport. `me` < 0 hosts every rank (the
+/// threads fabric's shape); otherwise it hosts rank `me` alone.
+class RecordingFabric final : public pgas::Fabric {
+ public:
+  struct Shipped {
+    std::uint32_t channel;
+    int src;
+    int dst;
+    std::vector<std::byte> frame;
+  };
+
+  RecordingFabric(int nranks, int me) : Fabric(nranks), me_(me) {}
+
+  [[nodiscard]] bool multiprocess() const noexcept override { return me_ >= 0; }
+  [[nodiscard]] int my_rank() const noexcept override { return me_; }
+  void ship(std::uint32_t channel, int src, int dst,
+            const std::vector<std::byte>& envelope) override {
+    shipped.push_back(Shipped{channel, src, dst, envelope});
+  }
+  void send_oneway(std::uint32_t, int, std::vector<std::byte>) override {
+    throw std::logic_error("RecordingFabric: send_oneway");
+  }
+  std::vector<std::byte> rpc(std::uint32_t, int,
+                             std::vector<std::byte>) override {
+    throw std::logic_error("RecordingFabric: rpc");
+  }
+  void poll_until(const std::function<bool()>&) override {}
+  void barrier(const BarrierPoint&) override {}
+  void abandon(int) override {}
+  std::vector<std::vector<std::byte>> serial_exchange(
+      std::vector<std::byte> mine) override {
+    return {std::move(mine)};
+  }
+
+  std::vector<Shipped> shipped;
+
+ private:
+  int me_;
+};
+
+TEST(Transport, LocalAndRemoteHopsAgree) {
+  // Every fate nonzero: the one fate loop must make the same decisions,
+  // and charge the same counters, whether a hop runs the receiver here or
+  // ships the frame to the peer process.
+  ChaosPlan plan;
+  plan.seed = 1299721;
+  plan.defaults = ChaosProbs{0.1, 0.1, 0.1, 0.1, 0.1};
+  constexpr std::uint64_t kSends = 300;
+  auto apply_into = [](std::vector<std::uint64_t>& log) {
+    return [&log](int dst, const std::byte* data, std::size_t size) {
+      ASSERT_EQ(dst, 1);
+      ASSERT_EQ(size, sizeof(std::uint64_t));
+      std::uint64_t v = 0;
+      std::memcpy(&v, data, size);
+      log.push_back(v);
+    };
+  };
+
+  // Both halves of the 0 -> 1 link in this process.
+  pgas::FaultInjector local_faults;
+  RecordingFabric local_fabric(2, -1);
+  Transport local(2, local_faults);
+  local.attach_fabric(local_fabric);
+  const auto local_ch = local.open_channel("parity");
+  local.set_plan(plan);
+  pgas::CommStats local_stats;
+  std::vector<std::uint64_t> local_applied;
+  for (std::uint64_t i = 0; i < kSends; ++i)
+    local.send(0, 1, local_ch, payload_of(i), local_stats,
+               apply_into(local_applied));
+  local.drain(0, local_ch, local_stats, apply_into(local_applied));
+
+  // Sender half in rank 0's process, receiver half in rank 1's; the
+  // recorded frames replay in order, as the fabric's FIFO delivers them.
+  pgas::FaultInjector tx_faults;
+  RecordingFabric tx_fabric(2, 0);
+  Transport tx(2, tx_faults);
+  tx.attach_fabric(tx_fabric);
+  const auto tx_ch = tx.open_channel("parity");
+  tx.set_plan(plan);
+  pgas::CommStats tx_stats;
+  std::vector<std::uint64_t> unused;
+  for (std::uint64_t i = 0; i < kSends; ++i)
+    tx.send(0, 1, tx_ch, payload_of(i), tx_stats, apply_into(unused));
+  tx.drain(0, tx_ch, tx_stats, apply_into(unused));
+  EXPECT_TRUE(unused.empty());  // a remote hop never applies locally
+
+  pgas::FaultInjector rx_faults;
+  RecordingFabric rx_fabric(2, 1);
+  Transport rx(2, rx_faults);
+  rx.attach_fabric(rx_fabric);
+  const auto rx_ch = rx.open_channel("parity");
+  rx.set_plan(plan);
+  std::vector<std::uint64_t> remote_applied;
+  rx.set_handler(rx_ch, [&](int src, int dst, const std::byte* data,
+                            std::size_t size) {
+    ASSERT_EQ(src, 0);
+    apply_into(remote_applied)(dst, data, size);
+  });
+  pgas::CommStats rx_stats;
+  for (const auto& f : tx_fabric.shipped) {
+    ASSERT_EQ(f.channel, tx_ch);
+    rx.on_wire(rx_ch, f.src, f.dst, f.frame.data(), f.frame.size(), rx_stats);
+  }
+
+  EXPECT_TRUE(local_fabric.shipped.empty());
+  EXPECT_EQ(local_applied, iota_u64(kSends));
+  EXPECT_EQ(remote_applied, local_applied);
+
+  const auto lr = local.channel_reports();
+  const auto tr = tx.channel_reports();
+  ASSERT_EQ(lr.size(), 1u);
+  ASSERT_EQ(tr.size(), 1u);
+  EXPECT_EQ(tr[0].attempts_hist, lr[0].attempts_hist);
+  EXPECT_EQ(tr[0].backoff_ticks, lr[0].backoff_ticks);
+
+  const auto ls = local_stats.snapshot();
+  const auto ts = tx_stats.snapshot();
+  const auto rs = rx_stats.snapshot();
+  EXPECT_EQ(ts.transport_retries, ls.transport_retries);
+  EXPECT_EQ(rs.transport_corrupts, ls.transport_corrupts);
+  EXPECT_EQ(rs.transport_dups, ls.transport_dups);
+  EXPECT_EQ(rs.transport_reorders, ls.transport_reorders);
+  // Receiver-observed events land on the receiving side only.
+  EXPECT_EQ(ts.transport_corrupts + ts.transport_dups + ts.transport_reorders,
+            0u);
+  // The schedule exercised every fate.
+  EXPECT_GT(ls.transport_retries, ls.transport_corrupts);  // drops retried
+  EXPECT_GT(ls.transport_corrupts, 0u);
+  EXPECT_GT(ls.transport_dups, 0u);
+  EXPECT_GT(ls.transport_reorders, 0u);
+  EXPECT_EQ(tx.pending(0, tx_ch), 0u);
 }
 
 // ---- chaos plan parsing ----
