@@ -11,10 +11,14 @@
 // trajectory of these kernels is tracked in the same CSV scheme as the
 // paper-figure benches. The same CSV carries a `crc32c` row: the portable
 // table loop (`ref`) against the dispatched kernel (`word`, SSE4.2 where the
-// CPU has it), in ns per 4 KiB buffer.
+// CPU has it), in ns per 4 KiB buffer; and a `bloom_test_and_set` row: an
+// unblocked filter that probes four random lines through a 64-bit `%`
+// (`ref`, kept here only as the reference) against kcount's blocked filter
+// (`word`), in ns per key.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <random>
@@ -24,6 +28,7 @@
 #include "align/smith_waterman.hpp"
 #include "kcount/bloom_filter.hpp"
 #include "kcount/hyperloglog.hpp"
+#include "kcount/kmer_analysis.hpp"
 #include "kcount/misra_gries.hpp"
 #include "pgas/dist_hash_map.hpp"
 #include "pgas/thread_team.hpp"
@@ -146,6 +151,59 @@ void BM_BloomTestAndSet(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(bloom.test_and_set(rng()));
 }
 BENCHMARK(BM_BloomTestAndSet);
+
+/// Reference Bloom filter: each probe picks a bit anywhere in the array
+/// through a 64-bit `%` and sets it with a locked fetch_or, so a key costs
+/// up to four cache misses. The blocked kcount::BloomFilter replaced it;
+/// it stays only as the baseline of the `bloom_test_and_set` row.
+class ReferenceBloom {
+ public:
+  explicit ReferenceBloom(std::size_t expected_keys, int bits_per_key = 8,
+                          int num_probes = 4)
+      : num_probes_(num_probes) {
+    std::size_t bits = expected_keys * static_cast<std::size_t>(bits_per_key);
+    if (bits < 1024) bits = 1024;
+    num_words_ = (bits + 63) / 64;
+    words_ = std::make_unique<std::atomic<std::uint64_t>[]>(num_words_);
+    for (std::size_t i = 0; i < num_words_; ++i) words_[i] = 0;
+  }
+
+  bool test_and_set(std::uint64_t hash) noexcept {
+    bool all_set = true;
+    std::uint64_t h1 = hash;
+    const std::uint64_t h2 = util::fmix64(hash) | 1;
+    for (int p = 0; p < num_probes_; ++p) {
+      const std::uint64_t bit = h1 % (num_words_ * 64);
+      const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+      const std::uint64_t prev =
+          words_[bit >> 6].fetch_or(mask, std::memory_order_relaxed);
+      all_set &= (prev & mask) != 0;
+      h1 += h2;
+    }
+    return all_set;
+  }
+
+ private:
+  int num_probes_;
+  std::size_t num_words_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+};
+
+void BM_DistHashMapConstruct(benchmark::State& state) {
+  // kcount's table geometry on the human workload: 804,470 expected
+  // entries over 4 ranks. Construction and destruction should cost O(P)
+  // whatever the bucket count.
+  pgas::ThreadTeam team(pgas::Topology{4, 4});
+  using Map = kcount::KmerAnalysis::Map;
+  for (auto _ : state) {
+    {
+      Map map(team, {.global_capacity = 804'470});
+      benchmark::DoNotOptimize(&map);
+    }
+    team.reset_for_job();  // drop the two channels each table opens
+  }
+}
+BENCHMARK(BM_DistHashMapConstruct)->Unit(benchmark::kMillisecond);
 
 void BM_HyperLogLogAdd(benchmark::State& state) {
   kcount::HyperLogLog hll;
@@ -379,6 +437,37 @@ void write_kernel_csv() {
         },
         1);
     table.add_row({"crc32c", "-", util::TextTable::fmt(ref_ns, 2),
+                   util::TextTable::fmt(word_ns, 2),
+                   util::TextTable::fmt(ref_ns / word_ns, 2),
+                   util::TextTable::fmt(1e3 / word_ns, 1)});
+  }
+  // Bloom test-and-set over a stream of fresh keys into a 512 KiB filter
+  // (about one human-workload rank's, ~500k keys): the reference filter vs
+  // the blocked one, at the same 8 bits/key and 4 probes.
+  {
+    const std::size_t keys = std::size_t{1} << 19;
+    const std::size_t batch = 4096;
+    ReferenceBloom ref(keys);
+    kcount::BloomFilter blocked(keys);
+    std::uint64_t ref_next = 0;
+    std::uint64_t word_next = 0;
+    const double ref_ns = ns_per_op(
+        [&] {
+          bool acc = false;
+          for (std::size_t i = 0; i < batch; ++i)
+            acc ^= ref.test_and_set(util::mix64(ref_next++));
+          benchmark::DoNotOptimize(acc);
+        },
+        batch);
+    const double word_ns = ns_per_op(
+        [&] {
+          bool acc = false;
+          for (std::size_t i = 0; i < batch; ++i)
+            acc ^= blocked.test_and_set(util::mix64(word_next++));
+          benchmark::DoNotOptimize(acc);
+        },
+        batch);
+    table.add_row({"bloom_test_and_set", "-", util::TextTable::fmt(ref_ns, 2),
                    util::TextTable::fmt(word_ns, 2),
                    util::TextTable::fmt(ref_ns / word_ns, 2),
                    util::TextTable::fmt(1e3 / word_ns, 1)});

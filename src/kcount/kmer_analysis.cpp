@@ -163,6 +163,7 @@ void KmerAnalysis::candidate_pass(
 
   std::vector<std::vector<KmerT>> outgoing(
       static_cast<std::size_t>(rank.nranks()));
+  std::vector<Map::StoreOp> admitted;
   std::size_t buffered = 0;
   std::size_t set_idx = 0;
   std::size_t read_idx = 0;
@@ -219,15 +220,21 @@ void KmerAnalysis::candidate_pass(
     for (auto& v : outgoing) v.clear();
     buffered = 0;
 
-    // Owner-side: Bloom test-and-set; admit on second sighting.
+    // Owner-side: Bloom test-and-set; admit on second sighting. Each
+    // k-mer is hashed once, for both the filter and the table, and the
+    // admitted ones go into the owner's shard as one prefetched batch.
+    admitted.clear();
     for (const KmerT& km : incoming) {
-      rank.stats().add_work();
-      if (my_bloom.test_and_set(km.hash())) {
-        table_->update(rank, km, KmerTally{});
+      const std::uint64_t h = km.hash();
+      if (my_bloom.test_and_set(h)) {
+        admitted.push_back(Map::StoreOp{h, km, KmerTally{},
+                                        Map::Policy::kInsert});
       } else {
         ++distinct;
       }
     }
+    rank.stats().add_work(incoming.size());
+    table_->update_owned(rank, admitted);
   }
   distinct_per_rank_[static_cast<std::size_t>(rank.id())] = distinct;
   rank.barrier();

@@ -29,28 +29,22 @@ class MisraGries {
   /// Observe one occurrence of `key` (weight `w`).
   void offer(const K& key, std::uint64_t w = 1) {
     n_ += w;
-    auto it = counters_.find(key);
-    if (it != counters_.end()) {
+    if (auto it = counters_.find(key); it != counters_.end()) {
       it->second += w;
       return;
     }
-    if (counters_.size() < capacity_) {
-      counters_.emplace(key, w);
-      return;
-    }
-    // Decrement-all step. With weighted offers, decrement by the smaller of
-    // w and the current minimum to preserve the lower-bound guarantee.
-    std::uint64_t dec = w;
-    for (const auto& [k, c] : counters_) dec = std::min(dec, c);
-    if (dec < w) {
-      // The new key survives with the remaining weight via recursion-free
-      // retry: subtract dec everywhere, erase zeros, then re-offer.
+    // Decrement-all steps. With weighted offers, decrement by the smaller
+    // of w and the current minimum to preserve the lower-bound guarantee;
+    // a step by the minimum frees a slot, which the new key then takes
+    // with its remaining weight.
+    while (counters_.size() >= capacity_) {
+      std::uint64_t dec = w;
+      for (const auto& [k, c] : counters_) dec = std::min(dec, c);
       decrement_all(dec);
-      n_ -= w;  // re-offer will re-add
-      offer(key, w - dec);
-      return;
+      w -= dec;
+      if (w == 0) return;
     }
-    decrement_all(w);
+    counters_.emplace(key, w);
   }
 
   /// Merge another summary (mergeable-summaries construction): add counts

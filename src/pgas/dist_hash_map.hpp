@@ -1,14 +1,20 @@
 #pragma once
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <new>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -131,12 +137,22 @@ class DistHashMap {
     // Aim for ~2 entries per bucket at the estimated cardinality.
     std::size_t nbuckets = 1;
     while (nbuckets * Bucket::kInline / 2 < per_shard) nbuckets <<= 1;
+    // Shard storage is anonymous zero pages: mapping costs one call
+    // whatever the size, and the kernel zeroes each page on its first
+    // touch, so no serial pass clears the table and the rank that first
+    // writes a page faults it in, alongside the other ranks.
     for (auto& shard : shards_) {
-      shard.buckets.resize(nbuckets);
-      shard.locks = std::make_unique<SpinMutex[]>(nbuckets);
+      void* pages = ::mmap(nullptr, nbuckets * sizeof(Bucket),
+                           PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                           -1, 0);
+      if (pages == MAP_FAILED) throw std::bad_alloc();
+      shard.buckets = static_cast<Bucket*>(pages);
       shard.mask = nbuckets - 1;
     }
   }
+
+  DistHashMap(const DistHashMap&) = delete;
+  DistHashMap& operator=(const DistHashMap&) = delete;
 
   /// Install a custom owner mapping (oracle partitioning). Must be called
   /// while the table is empty and outside concurrent access.
@@ -173,6 +189,15 @@ class DistHashMap {
   /// was decided by the Bloom-filtered pass A and singletons must stay out).
   enum class Policy { kInsert, kIfPresent };
 
+  /// One store: the key's hash travels with it, so neither the owner nor a
+  /// batch apply hashes it again.
+  struct StoreOp {
+    std::uint64_t hash;
+    K key;
+    V delta;
+    Policy policy;
+  };
+
   /// Find-or-insert `key` and merge `delta` into its value. One message.
   void update(Rank& rank, const K& key, const V& delta,
               Policy policy = Policy::kInsert HIPMER_SITE_DEFAULT) {
@@ -183,7 +208,31 @@ class DistHashMap {
     const std::uint64_t h = Hash{}(key);
     const std::uint32_t owner = owner_of_hash(h);
     rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
-    apply_update(owner, h, key, delta, policy);
+    Shard& shard = shards_[owner];
+    if (apply_update(shard, h, key, delta, policy))
+      shard.size.fetch_add(1, std::memory_order_relaxed);
+    bump_version();
+  }
+
+  /// Owner-local batched find-or-insert of ops whose hashes the caller
+  /// already holds (k-mer counting admits Bloom-passed k-mers this way).
+  /// Every op must belong to this rank. Charged exactly like one update()
+  /// per op; the bucket of op i+kPrefetchDistance is prefetched while op i
+  /// applies.
+  void update_owned(Rank& rank, std::span<const StoreOp> ops
+                        HIPMER_SITE_DEFAULT) {
+    if (ops.empty()) return;
+#if defined(HIPMER_CHECKED)
+    checked_.on_store(rank.id(), CheckedTable::Path::kFine,
+                      to_site(hipmer_site));
+#endif
+    const auto me = static_cast<std::uint32_t>(rank.id());
+    assert(std::ranges::all_of(ops, [&](const StoreOp& op) {
+      return owner_of_hash(op.hash) == me;
+    }));
+    rank.charge_message(rank.id(), ops.size() * (sizeof(K) + sizeof(V)),
+                        ops.size());
+    apply_ops(shards_[me], ops);
     bump_version();
   }
 
@@ -202,14 +251,7 @@ class DistHashMap {
     // handles remote reads); a remote fine-grained find on a multi-process
     // fabric would read an empty local mirror of the owner's shard.
     assert(team_->is_local(static_cast<int>(owner)));
-    const Shard& shard = shards_[owner];
-    const std::size_t b = bucket_index(shard, h);
-    std::optional<V> result;
-    {
-      std::lock_guard<SpinMutex> lock(shard.locks[b]);
-      const Entry* e = find_in_bucket(shard.buckets[b], key);
-      if (e != nullptr) result = e->value;
-    }
+    const std::optional<V> result = probe(shards_[owner], h, key);
     rank.charge_message(static_cast<int>(owner),
                         sizeof(K) + (result.has_value() ? sizeof(V) : 0), 1);
     return result;
@@ -243,10 +285,9 @@ class DistHashMap {
                                std::vector<std::byte>& out) -> bool {
       Args a{};
       if (args_size >= sizeof(Args)) std::memcpy(&a, args, sizeof(Args));
-      Shard& shard = shards_[owner];
-      const std::size_t b = bucket_index(shard, h);
-      std::lock_guard<SpinMutex> lock(shard.locks[b]);
-      Entry* e = find_in_bucket_mut(shard.buckets[b], key);
+      Bucket& bucket = bucket_of(shards_[owner], h);
+      SpinGuard guard(bucket.lock);
+      Entry* e = find_in_bucket(bucket, key);
       if (e == nullptr) return false;
       Result res = fn(e->value, a);
       out.resize(sizeof(Result));
@@ -312,8 +353,8 @@ class DistHashMap {
 #endif
     const std::uint64_t h = Hash{}(key);
     const std::uint32_t owner = owner_of_hash(h);
-    store_engine_.enqueue(rank.id(), owner, PendingOp{h, key, delta, policy},
-                          [&](std::uint32_t dest, std::vector<PendingOp>& ops) {
+    store_engine_.enqueue(rank.id(), owner, StoreOp{h, key, delta, policy},
+                          [&](std::uint32_t dest, std::vector<StoreOp>& ops) {
                             ship_store_batch(rank, dest, ops);
                           });
   }
@@ -324,7 +365,7 @@ class DistHashMap {
   /// starting at this rank's successor (flush-storm avoidance).
   void flush(Rank& rank) {
     store_engine_.flush(rank.id(),
-                        [&](std::uint32_t dest, std::vector<PendingOp>& ops) {
+                        [&](std::uint32_t dest, std::vector<StoreOp>& ops) {
                           ship_store_batch(rank, dest, ops);
                         });
     // Chaos may have held shipped envelopes "in the network" (reorder /
@@ -367,19 +408,9 @@ class DistHashMap {
     const std::uint32_t owner = owner_of_hash(h);
     if (static_cast<int>(owner) == rank.id()) {
       // Owner-local: answer from the shard directly, as find() would.
-      const Shard& shard = shards_[owner];
-      const std::size_t b = bucket_index(shard, h);
-      bool found = false;
-      V copy;
-      {
-        std::lock_guard<SpinMutex> lock(shard.locks[b]);
-        if (const Entry* e = find_in_bucket(shard.buckets[b], key)) {
-          copy = e->value;
-          found = true;
-        }
-      }
+      const std::optional<V> value = probe(shards_[owner], h, key);
       rank.stats().add_local_access(1);
-      handler(key, found ? &copy : nullptr, tag);
+      handler(key, value ? &*value : nullptr, tag);
       return;
     }
     if (auto* cache = caches_[static_cast<std::size_t>(rank.id())].get()) {
@@ -477,13 +508,13 @@ class DistHashMap {
   template <typename Fn>
   void for_each_local(Rank& rank, Fn&& fn) {
     Shard& shard = shards_[static_cast<std::size_t>(rank.id())];
-    for (std::size_t b = 0; b < shard.buckets.size(); ++b) {
-      std::lock_guard<SpinMutex> lock(shard.locks[b]);
+    for (std::size_t b = 0; b <= shard.mask; ++b) {
       Bucket& bucket = shard.buckets[b];
+      SpinGuard guard(bucket.lock);
       for (std::uint8_t i = 0; i < bucket.count; ++i)
         fn(static_cast<const K&>(bucket.slots[i].key), bucket.slots[i].value);
-      for (auto& e : bucket.overflow)
-        fn(static_cast<const K&>(e.key), e.value);
+      for (std::uint32_t i = 0; i < bucket.chain_size; ++i)
+        fn(static_cast<const K&>(bucket.chain[i].key), bucket.chain[i].value);
     }
   }
 
@@ -499,19 +530,18 @@ class DistHashMap {
 #endif
     Shard& shard = shards_[static_cast<std::size_t>(rank.id())];
     std::size_t erased = 0;
-    for (std::size_t b = 0; b < shard.buckets.size(); ++b) {
-      std::lock_guard<SpinMutex> lock(shard.locks[b]);
+    for (std::size_t b = 0; b <= shard.mask; ++b) {
       Bucket& bucket = shard.buckets[b];
-      // Compact inline slots, refilling from overflow. The swapped-in
-      // entry is re-examined (no ++i), since it may match the predicate
-      // too.
+      SpinGuard guard(bucket.lock);
+      // Compact inline slots, refilling from the overflow chain. The
+      // swapped-in entry is re-examined (no ++i), since it may match the
+      // predicate too. A drained chain keeps its block until destruction.
       for (std::uint8_t i = 0; i < bucket.count;) {
         if (pred(static_cast<const K&>(bucket.slots[i].key),
                  bucket.slots[i].value)) {
           ++erased;
-          if (!bucket.overflow.empty()) {
-            bucket.slots[i] = bucket.overflow.back();
-            bucket.overflow.pop_back();
+          if (bucket.chain_size > 0) {
+            bucket.slots[i] = bucket.chain[--bucket.chain_size];
           } else {
             bucket.slots[i] = bucket.slots[bucket.count - 1];
             --bucket.count;
@@ -520,11 +550,10 @@ class DistHashMap {
         }
         ++i;
       }
-      for (std::size_t i = 0; i < bucket.overflow.size();) {
-        if (pred(static_cast<const K&>(bucket.overflow[i].key),
-                 bucket.overflow[i].value)) {
-          bucket.overflow[i] = bucket.overflow.back();
-          bucket.overflow.pop_back();
+      for (std::uint32_t i = 0; i < bucket.chain_size;) {
+        if (pred(static_cast<const K&>(bucket.chain[i].key),
+                 bucket.chain[i].value)) {
+          bucket.chain[i] = bucket.chain[--bucket.chain_size];
           ++erased;
         } else {
           ++i;
@@ -560,25 +589,45 @@ class DistHashMap {
     V value;
   };
 
+  /// Header first: the lock, the inline count and the overflow chain sit
+  /// in front of slot 0, so probing a bucket that holds one or two entries
+  /// touches one or two adjacent cache lines. All-zero bytes are a valid
+  /// empty, unlocked bucket, so shard storage is never constructed.
   struct Bucket {
     static constexpr int kInline = 4;
+    std::uint8_t lock;
+    std::uint8_t count;
+    std::uint32_t chain_size;
+    // malloc'd overflow beyond kInline. Chains grow by doubling from
+    // kInline entries, so a chain of n entries always owns at least
+    // chain_capacity(n) of them and no capacity field is needed.
+    Entry* chain;
     Entry slots[kInline];
-    std::uint8_t count = 0;
-    std::vector<Entry> overflow;
   };
+  static_assert(std::is_trivially_copyable_v<Bucket> &&
+                    alignof(Entry) <= alignof(std::max_align_t),
+                "buckets live in zero pages and chains in malloc'd blocks");
 
-  struct Shard {
-    std::vector<Bucket> buckets;
-    std::unique_ptr<SpinMutex[]> locks;
+  /// One rank's shard. The geometry every prober reads and the size
+  /// counter every inserter writes sit on separate cache lines, and
+  /// neighbouring shards never share one.
+  struct alignas(64) Shard {
+    Bucket* buckets = nullptr;  // mmap'd zero pages, mask + 1 buckets
     std::size_t mask = 0;
-    std::atomic<std::size_t> size{0};
-  };
+    // Buckets that own a chain block, freed on destruction (O(chains),
+    // not O(buckets)). chain_lock guards the list itself.
+    std::uint8_t chain_lock = 0;
+    std::vector<Bucket*> chained;
+    alignas(64) std::atomic<std::size_t> size{0};
 
-  struct PendingOp {
-    std::uint64_t hash;
-    K key;
-    V delta;
-    Policy policy;
+    Shard() = default;
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+    ~Shard() {
+      if (buckets == nullptr) return;
+      for (Bucket* b : chained) std::free(b->chain);
+      ::munmap(buckets, (mask + 1) * sizeof(Bucket));
+    }
   };
 
   struct LookupReq {
@@ -592,7 +641,7 @@ class DistHashMap {
   // Every batch travels the transport as a memcpy'd byte envelope, so
   // chaos and the multi-process fabric see all table traffic; that needs
   // trivially copyable keys and values.
-  static_assert(std::is_trivially_copyable_v<PendingOp>,
+  static_assert(std::is_trivially_copyable_v<StoreOp>,
                 "DistHashMap store ops must be wire-serializable");
   static_assert(std::is_trivially_copyable_v<LookupReq>,
                 "DistHashMap lookup requests must be wire-serializable");
@@ -604,7 +653,7 @@ class DistHashMap {
   /// transport dedups retransmits.
   void apply_store_envelope(Rank& initiator, int dst, const std::byte* data,
                             std::size_t size) {
-    auto ops = map_wire::decode_batch<PendingOp>(data, size);
+    auto ops = map_wire::decode_batch<StoreOp>(data, size);
     apply_store_batch(initiator, static_cast<std::uint32_t>(dst), ops);
   }
 
@@ -625,7 +674,7 @@ class DistHashMap {
   }
 
   void ship_store_batch(Rank& rank, std::uint32_t dest,
-                        std::vector<PendingOp>& ops) {
+                        std::vector<StoreOp>& ops) {
     try {
       team_->transport().send(rank.id(), static_cast<int>(dest),
                               store_channel_, map_wire::encode_batch(ops),
@@ -696,19 +745,18 @@ class DistHashMap {
     std::vector<map_wire::LookupReply<K, V>> replies;
     replies.reserve(reqs.size());
     std::size_t hits = 0;
-    for (const auto& req : reqs) {
-      const std::size_t b = bucket_index(shard, req.hash);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (i + kPrefetchDistance < reqs.size())
+        prefetch_bucket(shard, reqs[i + kPrefetchDistance].hash);
+      const LookupReq& req = reqs[i];
       map_wire::LookupReply<K, V> reply;
       reply.tag = req.tag;
       reply.key = req.key;
-      {
-        std::lock_guard<SpinMutex> lock(shard.locks[b]);
-        if (const Entry* e = find_in_bucket(shard.buckets[b], req.key)) {
-          reply.value = e->value;
-          reply.found = true;
-        }
+      if (const std::optional<V> value = probe(shard, req.hash, req.key)) {
+        reply.value = *value;
+        reply.found = true;
+        ++hits;
       }
-      if (reply.found) ++hits;
       replies.push_back(reply);
     }
     Rank initiator(*team_, src);
@@ -749,54 +797,98 @@ class DistHashMap {
     return mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
   }
 
-  static std::size_t bucket_index(const Shard& shard, std::uint64_t h) {
+  static Bucket& bucket_of(const Shard& shard, std::uint64_t h) {
     // Decorrelate from the owner mapping (which typically uses h % P).
-    return util::fmix64(h) & shard.mask;
+    return shard.buckets[util::fmix64(h) & shard.mask];
   }
 
-  static const Entry* find_in_bucket(const Bucket& bucket, const K& key) {
+  /// Batch applies and lookups prefetch the bucket header this many ops
+  /// ahead: enough to hide a DRAM miss behind the probes in between.
+  static constexpr std::size_t kPrefetchDistance = 8;
+
+  static void prefetch_bucket(const Shard& shard, std::uint64_t h) {
+    __builtin_prefetch(&bucket_of(shard, h), 1);
+  }
+
+  static Entry* find_in_bucket(Bucket& bucket, const K& key) {
     for (std::uint8_t i = 0; i < bucket.count; ++i)
       if (bucket.slots[i].key == key) return &bucket.slots[i];
-    for (const auto& e : bucket.overflow)
-      if (e.key == key) return &e;
+    for (std::uint32_t i = 0; i < bucket.chain_size; ++i)
+      if (bucket.chain[i].key == key) return &bucket.chain[i];
     return nullptr;
   }
 
-  static Entry* find_in_bucket_mut(Bucket& bucket, const K& key) {
-    for (std::uint8_t i = 0; i < bucket.count; ++i)
-      if (bucket.slots[i].key == key) return &bucket.slots[i];
-    for (auto& e : bucket.overflow)
-      if (e.key == key) return &e;
-    return nullptr;
+  /// Copy `key`'s value out under its bucket lock.
+  static std::optional<V> probe(const Shard& shard, std::uint64_t h,
+                                const K& key) {
+    Bucket& bucket = bucket_of(shard, h);
+    SpinGuard guard(bucket.lock);
+    if (const Entry* e = find_in_bucket(bucket, key)) return e->value;
+    return std::nullopt;
   }
 
-  void apply_update(std::uint32_t owner, std::uint64_t h, const K& key,
-                    const V& delta, Policy policy) {
-    Shard& shard = shards_[owner];
-    const std::size_t b = bucket_index(shard, h);
-    std::lock_guard<SpinMutex> lock(shard.locks[b]);
-    Bucket& bucket = shard.buckets[b];
-    if (Entry* e = find_in_bucket_mut(bucket, key)) {
-      Merge{}(e->value, delta);
-      return;
+  static constexpr std::uint32_t chain_capacity(std::uint32_t n) {
+    return n <= Bucket::kInline ? Bucket::kInline : std::bit_ceil(n);
+  }
+
+  /// Append to `bucket`'s overflow chain (bucket lock held).
+  static void chain_push(Shard& shard, Bucket& bucket, const Entry& e) {
+    const std::uint32_t n = bucket.chain_size;
+    if (bucket.chain == nullptr) {
+      bucket.chain =
+          static_cast<Entry*>(std::malloc(Bucket::kInline * sizeof(Entry)));
+      if (bucket.chain == nullptr) throw std::bad_alloc();
+      SpinGuard guard(shard.chain_lock);
+      shard.chained.push_back(&bucket);
+    } else if (n == chain_capacity(n)) {
+      void* grown =
+          std::realloc(bucket.chain, 2 * std::size_t{n} * sizeof(Entry));
+      if (grown == nullptr) throw std::bad_alloc();
+      bucket.chain = static_cast<Entry*>(grown);
     }
-    if (policy == Policy::kIfPresent) return;
+    bucket.chain[n] = e;
+    bucket.chain_size = n + 1;
+  }
+
+  /// Find-or-insert `key` and merge `delta`; true when a new entry was
+  /// added (the caller maintains the shard's size).
+  static bool apply_update(Shard& shard, std::uint64_t h, const K& key,
+                           const V& delta, Policy policy) {
+    Bucket& bucket = bucket_of(shard, h);
+    SpinGuard guard(bucket.lock);
+    if (Entry* e = find_in_bucket(bucket, key)) {
+      Merge{}(e->value, delta);
+      return false;
+    }
+    if (policy == Policy::kIfPresent) return false;
     if (bucket.count < Bucket::kInline) {
       bucket.slots[bucket.count] = Entry{key, delta};
       ++bucket.count;
     } else {
-      bucket.overflow.push_back(Entry{key, delta});
+      chain_push(shard, bucket, Entry{key, delta});
     }
-    shard.size.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Apply `ops` in order to one shard, prefetching ahead.
+  static void apply_ops(Shard& shard, std::span<const StoreOp> ops) {
+    std::size_t inserted = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (i + kPrefetchDistance < ops.size())
+        prefetch_bucket(shard, ops[i + kPrefetchDistance].hash);
+      const StoreOp& op = ops[i];
+      if (apply_update(shard, op.hash, op.key, op.delta, op.policy))
+        ++inserted;
+    }
+    shard.size.fetch_add(inserted, std::memory_order_relaxed);
   }
 
   /// One aggregated store message: charge once, apply every op.
   void apply_store_batch(Rank& rank, std::uint32_t dest,
-                         std::vector<PendingOp>& ops) {
+                         std::vector<StoreOp>& ops) {
     rank.charge_message(static_cast<int>(dest),
                         ops.size() * (sizeof(K) + sizeof(V)), ops.size());
-    for (const auto& op : ops)
-      apply_update(dest, op.hash, op.key, op.delta, op.policy);
+    apply_ops(shards_[dest], ops);
     bump_version();
   }
 
@@ -808,22 +900,16 @@ class DistHashMap {
     auto* cache = caches_[static_cast<std::size_t>(rank.id())].get();
     const Shard& shard = shards_[dest];
     std::size_t hits = 0;
-    for (const auto& req : reqs) {
-      const std::size_t b = bucket_index(shard, req.hash);
-      bool found = false;
-      V copy;
-      {
-        std::lock_guard<SpinMutex> lock(shard.locks[b]);
-        if (const Entry* e = find_in_bucket(shard.buckets[b], req.key)) {
-          copy = e->value;
-          found = true;
-        }
-      }
-      if (found) {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (i + kPrefetchDistance < reqs.size())
+        prefetch_bucket(shard, reqs[i + kPrefetchDistance].hash);
+      const LookupReq& req = reqs[i];
+      const std::optional<V> value = probe(shard, req.hash, req.key);
+      if (value) {
         ++hits;
-        if (cache != nullptr) cache->insert(req.key, copy);
+        if (cache != nullptr) cache->insert(req.key, *value);
       }
-      handler(static_cast<const K&>(req.key), found ? &copy : nullptr,
+      handler(static_cast<const K&>(req.key), value ? &*value : nullptr,
               req.tag);
     }
     rank.charge_message(static_cast<int>(dest),
@@ -844,7 +930,7 @@ class DistHashMap {
   std::uint32_t nranks_;
   RankMapper mapper_;
   std::vector<Shard> shards_;
-  AggregatingEngine<PendingOp> store_engine_;
+  AggregatingEngine<StoreOp> store_engine_;
   AggregatingEngine<LookupReq> lookup_engine_;
   Transport::ChannelId store_channel_ = 0;
   Transport::ChannelId lookup_channel_ = 0;

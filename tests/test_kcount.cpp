@@ -38,6 +38,24 @@ TEST(BloomFilter, FalsePositiveRateBounded) {
   EXPECT_LT(static_cast<double>(fp) / probes, 0.05);
 }
 
+TEST(BloomFilter, NoFalseNegativesAndFprAtMost3PercentAt500kKeys) {
+  // Paper sizing (8 bits/key, 4 probes) at a realistic per-rank load. Keys
+  // share a residue mod 4, as the hashes one owner rank sees do.
+  const std::size_t n = 500'000;
+  BloomFilter bloom(n, 8, 4);
+  std::mt19937_64 rng(3);
+  auto owner_hash = [&] { return (rng() & ~std::uint64_t{3}) | 1; };
+  std::vector<std::uint64_t> keys(n);
+  for (auto& k : keys) k = owner_hash();
+  for (auto k : keys) bloom.test_and_set(k);
+  std::size_t missing = 0;
+  for (auto k : keys) missing += bloom.test(k) ? 0 : 1;
+  EXPECT_EQ(missing, 0u);
+  std::size_t fp = 0;
+  for (std::size_t i = 0; i < n; ++i) fp += bloom.test(owner_hash()) ? 1 : 0;
+  EXPECT_LE(static_cast<double>(fp) / static_cast<double>(n), 0.03);
+}
+
 TEST(BloomFilter, TestAndSetReportsPriorState) {
   BloomFilter bloom(1000);
   EXPECT_FALSE(bloom.test_and_set(12345));
@@ -130,6 +148,33 @@ TEST(MisraGries, MergePreservesHeavyItems) {
   EXPECT_LE(a.count(7), 2 * truth_each);
   EXPECT_GE(a.count(7) + a.stream_length() / theta + 1, 2 * truth_each);
   EXPECT_LE(a.size(), theta);
+}
+
+TEST(MisraGries, WeightedOffersCountFullStream) {
+  // Weights 1-5 drive the decrement-by-minimum branch; the stream length
+  // must still be the full weight and the bounds must hold for every item.
+  const std::size_t theta = 32;
+  MisraGries<std::uint64_t> mg(theta);
+  std::mt19937_64 rng(13);
+  std::unordered_map<std::uint64_t, std::uint64_t> truth;
+  std::uint64_t total = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t x = (rng() & 1) == 0 ? rng() % 4 : rng() % 5000 + 4;
+    const std::uint64_t w = rng() % 5 + 1;
+    mg.offer(x, w);
+    truth[x] += w;
+    total += w;
+  }
+  EXPECT_EQ(mg.stream_length(), total);
+  const std::uint64_t n_over_theta = total / theta;
+  for (const auto& [x, f] : truth) {
+    const auto reported = mg.count(x);
+    EXPECT_LE(reported, f) << "f'(x) <= f(x) violated for " << x;
+    EXPECT_GE(reported + n_over_theta, f)
+        << "f(x) - n/theta <= f'(x) violated for " << x;
+  }
+  for (std::uint64_t h = 0; h < 4; ++h) EXPECT_GT(mg.count(h), 0u) << h;
+  EXPECT_LE(mg.size(), theta);
 }
 
 TEST(MisraGries, GuaranteeThresholdTracksStream) {
@@ -303,13 +348,17 @@ TEST(KmerAnalysis, BloomOnOffAgreeOnSurvivingKmers) {
   without_bloom.use_bloom = false;
   without_bloom.min_count = 2;
 
+  // Bloom false positives enter the table with a zero tally; none may
+  // reach the output, in depth or in either extension.
   const auto a = run_analysis(reads, with_bloom, 4);
   const auto b = run_analysis(reads, without_bloom, 4);
   ASSERT_EQ(a.ufx.size(), b.ufx.size());
   for (const auto& [km, summary] : a.ufx) {
     auto it = b.ufx.find(km);
     ASSERT_NE(it, b.ufx.end()) << km;
-    EXPECT_EQ(summary.depth, it->second.depth);
+    EXPECT_EQ(summary.depth, it->second.depth) << km;
+    EXPECT_EQ(summary.left_ext, it->second.left_ext) << km;
+    EXPECT_EQ(summary.right_ext, it->second.right_ext) << km;
   }
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <random>
+#include <set>
 
 #include "pgas/aggregating_engine.hpp"
 #include "pgas/dist_hash_map.hpp"
@@ -373,6 +375,136 @@ TEST(DistHashMap, CustomRankMapperControlsPlacement) {
     EXPECT_EQ(map.local_size(3), 4u);
     EXPECT_EQ(map.local_size(rank.id() == 3 ? 0 : rank.id()), 0u);
   });
+}
+
+TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
+  // Two buckets per shard for ~2000 keys: every bucket chains far past its
+  // inline slots. Each phase's shard contents are checked against a
+  // std::map model, and the table is destroyed still holding its chains.
+  const int p = 4;
+  ThreadTeam team(Topology{p, 2});
+  CountMap map(team,
+               CountMap::Config{.global_capacity = 16, .flush_threshold = 8});
+  const auto add = map.register_rmw<std::uint64_t, std::uint64_t>(
+      [](std::uint64_t& v, const std::uint64_t& by) {
+        v += by;
+        return v;
+      });
+
+  using Model = std::map<std::uint64_t, std::uint64_t>;
+  struct Op {
+    std::uint64_t key;
+    std::uint64_t delta;
+  };
+  auto ops_for = [](int phase, int rank, std::uint64_t key_range) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(phase * 100 + rank));
+    std::vector<Op> ops(500);
+    for (auto& op : ops) op = {rng() % key_range, rng() % 7 + 1};
+    return ops;
+  };
+  // Phases: 0 fine inserts, 1 buffered inserts, 2 buffered kIfPresent,
+  // 3 fine kIfPresent, 4 rmw, 5 erase_local_if. Ranges 2-4 are twice as
+  // wide, so half their keys are absent.
+  const int phases = 6;
+  auto range_of = [](int phase) -> std::uint64_t {
+    return phase >= 2 ? 4000 : 2000;
+  };
+  auto erased = [](const std::uint64_t& v) { return v % 3 == 0; };
+  std::vector<Model> expected;
+  Model model;
+  for (int phase = 0; phase < phases; ++phase) {
+    if (phase == 5) {
+      std::erase_if(model, [&](const auto& kv) { return erased(kv.second); });
+    } else {
+      for (int r = 0; r < p; ++r)
+        for (const Op& op : ops_for(phase, r, range_of(phase)))
+          if (phase < 2 || model.contains(op.key)) model[op.key] += op.delta;
+    }
+    expected.push_back(model);
+  }
+
+  auto check_local = [&](Rank& rank, const Model& m) {
+    std::multiset<std::pair<std::uint64_t, std::uint64_t>> seen;
+    std::multiset<std::pair<std::uint64_t, std::uint64_t>> want;
+    map.for_each_local(rank, [&](const std::uint64_t& k, std::uint64_t& v) {
+      seen.emplace(k, v);
+    });
+    for (const auto& [k, v] : m)
+      if (map.owner_of(k) == static_cast<std::uint32_t>(rank.id()))
+        want.emplace(k, v);
+    EXPECT_EQ(seen, want) << "rank " << rank.id();
+    EXPECT_EQ(map.local_size(rank.id()), want.size()) << "rank " << rank.id();
+  };
+
+  team.run([&](Rank& rank) {
+    const int me = rank.id();
+    for (int phase = 0; phase < phases; ++phase) {
+      const auto ops = ops_for(phase, me, range_of(phase));
+      const Model& before =
+          phase == 0 ? Model{} : expected[static_cast<std::size_t>(phase - 1)];
+      switch (phase) {
+        case 0:
+          for (const Op& op : ops) map.update(rank, op.key, op.delta);
+          break;
+        case 1:
+          for (const Op& op : ops) map.update_buffered(rank, op.key, op.delta);
+          map.flush(rank);
+          break;
+        case 2:
+          for (const Op& op : ops)
+            map.update_buffered(rank, op.key, op.delta,
+                                CountMap::Policy::kIfPresent);
+          map.flush(rank);
+          break;
+        case 3:
+          for (const Op& op : ops)
+            map.update(rank, op.key, op.delta, CountMap::Policy::kIfPresent);
+          break;
+        case 4:
+          for (const Op& op : ops)
+            EXPECT_EQ(map.rmw<std::uint64_t>(rank, op.key, add, op.delta)
+                          .has_value(),
+                      before.contains(op.key))
+                << op.key;
+          break;
+        default:
+          map.erase_local_if(rank, [&](const std::uint64_t&,
+                                       const std::uint64_t& v) {
+            return erased(v);
+          });
+      }
+      rank.barrier();
+      check_local(rank, expected[static_cast<std::size_t>(phase)]);
+      rank.barrier();
+    }
+
+    // Both read paths agree with the final model, hits and misses alike.
+    const Model& final_model = expected.back();
+    for (std::uint64_t key = 0; key < 4000; ++key) {
+      const auto it = final_model.find(key);
+      const auto v = map.find(rank, key);
+      ASSERT_EQ(v.has_value(), it != final_model.end()) << key;
+      if (v) {
+        EXPECT_EQ(*v, it->second) << key;
+      }
+    }
+    rank.barrier();
+    std::size_t answered = 0;
+    auto check = [&](const std::uint64_t& key, const std::uint64_t* value,
+                     std::uint64_t) {
+      ++answered;
+      const auto it = final_model.find(key);
+      ASSERT_EQ(value != nullptr, it != final_model.end()) << key;
+      if (value != nullptr) {
+        EXPECT_EQ(*value, it->second) << key;
+      }
+    };
+    for (std::uint64_t key = 0; key < 4000; ++key)
+      map.find_buffered(rank, key, key, check);
+    map.process_lookups(rank, check);
+    EXPECT_EQ(answered, 4000u);
+  });
+  EXPECT_EQ(map.size_unsafe(), expected.back().size());
 }
 
 // ---- AggregatingEngine / batched lookups / read cache ----
