@@ -14,7 +14,10 @@
 // CPU has it), in ns per 4 KiB buffer; and a `bloom_test_and_set` row: an
 // unblocked filter that probes four random lines through a 64-bit `%`
 // (`ref`, kept here only as the reference) against kcount's blocked filter
-// (`word`), in ns per key.
+// (`word`), in ns per key; and a `misra_gries_offer` row: the node-based
+// sketch kcount used to keep (`ref`, kept here only as the reference)
+// against the flat kcount::MisraGries (`word`), in ns per offer of one
+// rank's human-workload canonical 31-mer stream at θ = 32768.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "align/smith_waterman.hpp"
@@ -34,6 +38,7 @@
 #include "pgas/thread_team.hpp"
 #include "seq/kmer_scanner.hpp"
 #include "seq/types.hpp"
+#include "sim/datasets.hpp"
 #include "sim/genome_sim.hpp"
 #include "util/hash.hpp"
 #include "util/table.hpp"
@@ -224,6 +229,53 @@ void BM_MisraGriesOffer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MisraGriesOffer)->Arg(1024)->Arg(32768);
+
+/// Reference Misra–Gries sketch: the same exact algorithm over a
+/// std::unordered_map, so every new key allocates a node and every
+/// decrement frees most of them, and each offer rehashes its key. The flat
+/// kcount::MisraGries replaced it; it stays only as the baseline of the
+/// `misra_gries_offer` row.
+template <typename K, typename Hash>
+class ReferenceMisraGries {
+ public:
+  explicit ReferenceMisraGries(std::size_t capacity) : capacity_(capacity) {
+    counters_.reserve(capacity + 1);
+  }
+
+  void offer(const K& key, std::uint64_t w = 1) {
+    n_ += w;
+    if (auto it = counters_.find(key); it != counters_.end()) {
+      it->second += w;
+      return;
+    }
+    while (counters_.size() >= capacity_) {
+      std::uint64_t dec = w;
+      for (const auto& [k, c] : counters_) dec = std::min(dec, c);
+      decrement_all(dec);
+      w -= dec;
+      if (w == 0) return;
+    }
+    counters_.emplace(key, w);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return counters_.size(); }
+
+ private:
+  void decrement_all(std::uint64_t dec) {
+    for (auto it = counters_.begin(); it != counters_.end();) {
+      if (it->second <= dec) {
+        it = counters_.erase(it);
+      } else {
+        it->second -= dec;
+        ++it;
+      }
+    }
+  }
+
+  std::size_t capacity_;
+  std::uint64_t n_ = 0;
+  std::unordered_map<K, std::uint64_t, Hash> counters_;
+};
 
 struct SumMerge {
   void operator()(std::uint64_t& a, const std::uint64_t& b) const { a += b; }
@@ -468,6 +520,55 @@ void write_kernel_csv() {
         },
         batch);
     table.add_row({"bloom_test_and_set", "-", util::TextTable::fmt(ref_ns, 2),
+                   util::TextTable::fmt(word_ns, 2),
+                   util::TextTable::fmt(ref_ns / word_ns, 2),
+                   util::TextTable::fmt(1e3 / word_ns, 1)});
+  }
+  // Misra–Gries offers at θ = 32768 over one rank's share (every 4th read)
+  // of the 500 kbp human-like workload's canonical 31-mers, about 1.76M
+  // offers. Both loops hash each k-mer once, as the sketch pass does for
+  // its HyperLogLog; only the flat sketch reuses that hash.
+  {
+    const std::size_t theta = 32768;
+    const auto ds = sim::make_human_like(500'000, 1);
+    std::vector<KmerT> stream;
+    for (std::size_t i = 0; i < ds.reads[0].size(); i += 4)
+      for (seq::KmerScanner<KmerT::kMaxK> it(ds.reads[0][i].seq, 31);
+           !it.done(); it.next())
+        stream.push_back(it.canonical());
+    std::size_t ref_size = 0;
+    std::size_t word_size = 0;
+    const double ref_ns = ns_per_op(
+        [&] {
+          ReferenceMisraGries<KmerT, seq::KmerHashT> mg(theta);
+          std::uint64_t acc = 0;
+          for (const auto& km : stream) {
+            acc ^= km.hash();
+            mg.offer(km);
+          }
+          benchmark::DoNotOptimize(acc);
+          ref_size = mg.size();
+        },
+        stream.size());
+    const double word_ns = ns_per_op(
+        [&] {
+          kcount::MisraGries<KmerT, seq::KmerHashT> mg(theta);
+          std::uint64_t acc = 0;
+          for (const auto& km : stream) {
+            const std::uint64_t h = km.hash();
+            acc ^= h;
+            mg.offer(km, h, 1);
+          }
+          benchmark::DoNotOptimize(acc);
+          word_size = mg.size();
+        },
+        stream.size());
+    if (ref_size != word_size)
+      std::fprintf(stderr, "misra_gries_offer: sketch sizes differ (%zu vs %zu)\n",
+                   ref_size, word_size);
+    std::printf("misra_gries_offer: %zu offers, theta %zu\n", stream.size(),
+                theta);
+    table.add_row({"misra_gries_offer", "31", util::TextTable::fmt(ref_ns, 2),
                    util::TextTable::fmt(word_ns, 2),
                    util::TextTable::fmt(ref_ns / word_ns, 2),
                    util::TextTable::fmt(1e3 / word_ns, 1)});

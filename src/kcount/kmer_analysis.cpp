@@ -47,8 +47,9 @@ void KmerAnalysis::sketch_pass(
       for (auto it = set.scanner<KmerT::kMaxK>(r, config_.k); !it.done();
            it.next()) {
         const KmerT& canon = it.canonical();
-        hll.add_hash(canon.hash());
-        if (config_.use_heavy_hitters) mg.offer(canon);
+        const std::uint64_t hash = canon.hash();
+        hll.add_hash(hash);
+        if (config_.use_heavy_hitters) mg.offer(canon, hash, 1);
         ++instances;
         rank.stats().add_work();
       }
@@ -123,8 +124,13 @@ void KmerAnalysis::sketch_pass(
       hh_set_.insert(item.kmer);
       heavy_hitters_.emplace_back(item.kmer, item.count);
     }
+    // Count descending, then k-mer ascending: one order whatever the
+    // layout of the sketches and tables the items passed through.
     std::sort(heavy_hitters_.begin(), heavy_hitters_.end(),
-              [](const auto& a, const auto& b) { return b.second < a.second; });
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second > b.second
+                                            : a.first < b.first;
+              });
   }
   rank.barrier();
 }

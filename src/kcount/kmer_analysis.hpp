@@ -105,6 +105,8 @@ class KmerAnalysis {
   [[nodiscard]] double singleton_fraction() const noexcept {
     return singleton_fraction_;
   }
+  /// Global heavy hitters with their summed lower-bound counts, ordered by
+  /// count descending, then k-mer ascending.
   [[nodiscard]] const std::vector<std::pair<seq::KmerT, std::uint64_t>>&
   heavy_hitters() const noexcept {
     return heavy_hitters_;

@@ -215,6 +215,11 @@ std::vector<std::vector<std::byte>> decode_serial_release(
     const std::byte* data, std::size_t size) {
   io::wire::Reader r(data, size);
   const auto p = r.get_u32_checked("serial count");
+  // Every part carries at least its 4-byte length: bound the count by the
+  // payload before reserving for it.
+  if (p > r.remaining() / 4)
+    throw io::wire::CorruptError(
+        "wire: corrupt: serial count exceeds the payload");
   std::vector<std::vector<std::byte>> parts;
   parts.reserve(p);
   for (std::uint32_t i = 0; i < p; ++i) {

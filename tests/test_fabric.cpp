@@ -99,6 +99,15 @@ TEST(FrameCodec, TrailingGarbageIsRejected) {
   EXPECT_THROW(decode_frame(bytes.data(), bytes.size()), io::wire::Error);
 }
 
+TEST(FrameCodec, SerialReleaseCountBeyondPayloadIsRejected) {
+  // A count the following bytes cannot hold (each part needs at least its
+  // 4-byte length) is refused before anything is reserved for it.
+  auto bytes = encode_serial_release({{std::byte{1}, std::byte{2}}});
+  for (std::size_t i = 0; i < 4; ++i) bytes[i] = std::byte{0xFF};
+  EXPECT_THROW((void)decode_serial_release(bytes.data(), bytes.size()),
+               io::wire::CorruptError);
+}
+
 // ---- endpoint protocol against a fake coordinator -------------------------
 
 /// Speaks the coordinator's half of the socket protocol from a plain

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <random>
 #include <unordered_map>
@@ -8,6 +9,7 @@
 #include "kcount/hyperloglog.hpp"
 #include "kcount/kmer_analysis.hpp"
 #include "kcount/misra_gries.hpp"
+#include "seq/kmer_scanner.hpp"
 #include "sim/datasets.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
@@ -181,6 +183,159 @@ TEST(MisraGries, GuaranteeThresholdTracksStream) {
   MisraGries<int> mg(10);
   for (int i = 0; i < 1000; ++i) mg.offer(i % 50);
   EXPECT_EQ(mg.guarantee_threshold(), 1000u / 11 + 1);
+}
+
+/// Textbook Misra–Gries over a std::map: the same decrement-by-minimum
+/// offer and (θ+1)-largest merge, with none of the flat table's layout.
+template <typename K>
+class MapMisraGries {
+ public:
+  explicit MapMisraGries(std::size_t theta) : theta_(theta) {}
+
+  void offer(const K& key, std::uint64_t w) {
+    n_ += w;
+    if (auto it = counters_.find(key); it != counters_.end()) {
+      it->second += w;
+      return;
+    }
+    while (counters_.size() >= theta_) {
+      std::uint64_t dec = w;
+      for (const auto& [k, c] : counters_) dec = std::min(dec, c);
+      decrement_all(dec);
+      w -= dec;
+      if (w == 0) return;
+    }
+    counters_.emplace(key, w);
+  }
+
+  void merge(const MapMisraGries& other) {
+    n_ += other.n_;
+    for (const auto& [k, c] : other.counters_) counters_[k] += c;
+    if (counters_.size() <= theta_) return;
+    std::vector<std::uint64_t> counts;
+    for (const auto& [k, c] : counters_) counts.push_back(c);
+    std::sort(counts.begin(), counts.end(), std::greater<std::uint64_t>());
+    decrement_all(counts[theta_]);
+  }
+
+  [[nodiscard]] const std::map<K, std::uint64_t>& counters() const {
+    return counters_;
+  }
+  [[nodiscard]] std::uint64_t stream_length() const { return n_; }
+
+ private:
+  void decrement_all(std::uint64_t dec) {
+    std::erase_if(counters_, [dec](const auto& kv) { return kv.second <= dec; });
+    for (auto& [k, c] : counters_) c -= dec;
+  }
+
+  std::size_t theta_;
+  std::uint64_t n_ = 0;
+  std::map<K, std::uint64_t> counters_;
+};
+
+template <typename K, typename Hash>
+void expect_matches_reference(const MisraGries<K, Hash>& flat,
+                              const MapMisraGries<K>& ref,
+                              const std::string& what) {
+  const auto items = flat.items();
+  const std::map<K, std::uint64_t> got(items.begin(), items.end());
+  EXPECT_EQ(items.size(), got.size()) << what << ": duplicate keys";
+  EXPECT_EQ(flat.size(), got.size()) << what;
+  EXPECT_TRUE(got == ref.counters()) << what << ": " << got.size()
+                                     << " items vs " << ref.counters().size();
+  EXPECT_EQ(flat.stream_length(), ref.stream_length()) << what;
+}
+
+TEST(MisraGries, MatchesReferenceOnWeightedStreams) {
+  enum class Shape { kSkewed, kAllDistinct, kAllEqual };
+  for (const std::size_t theta : {1, 7, 64, 1024}) {
+    for (const Shape shape :
+         {Shape::kSkewed, Shape::kAllDistinct, Shape::kAllEqual}) {
+      std::mt19937_64 rng(theta * 31 + static_cast<std::uint64_t>(shape));
+      std::uint64_t next_distinct = 0;
+      // Skewed: half the offers go to five hot keys with frequencies 1/2,
+      // 1/4, ..., 1/16, 1/16 of them, and the two halves have different hot
+      // keys. The merged summary then holds more than θ distinct large
+      // counts at small θ, so shrinking by the θ-th instead of the
+      // (θ+1)-largest count would show.
+      auto draw = [&](bool second) -> std::uint64_t {
+        switch (shape) {
+          case Shape::kSkewed:
+            return (rng() & 1) == 0
+                       ? static_cast<std::uint64_t>(std::countr_zero(rng() | 16)) +
+                             (second ? 8 : 0)
+                       : rng() % 20000 + 16;
+          case Shape::kAllDistinct:
+            return next_distinct++;
+          case Shape::kAllEqual:
+            return 42;
+        }
+        return 0;
+      };
+      MisraGries<std::uint64_t> a(theta);
+      MisraGries<std::uint64_t> b(theta);
+      MapMisraGries<std::uint64_t> ra(theta);
+      MapMisraGries<std::uint64_t> rb(theta);
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t x = draw(i % 2 == 1);
+        const std::uint64_t w = rng() % 5 + 1;
+        if (i % 2 == 0) {
+          a.offer(x, w);
+          ra.offer(x, w);
+        } else {
+          b.offer(x, w);
+          rb.offer(x, w);
+        }
+      }
+      const std::string what = "theta=" + std::to_string(theta) +
+                               " shape=" +
+                               std::to_string(static_cast<int>(shape));
+      expect_matches_reference(a, ra, what + " a");
+      expect_matches_reference(b, rb, what + " b");
+      a.merge(b);
+      ra.merge(rb);
+      expect_matches_reference(a, ra, what + " merged");
+    }
+  }
+}
+
+TEST(MisraGries, MatchesReferenceOnSimulatedKmerStreams) {
+  // Canonical 31-mer streams of a human-like (mostly unique) and a
+  // wheat-like (repeat-heavy) read set, offered with the precomputed hash
+  // as the sketch pass does; even and odd reads feed two sketches that
+  // then merge.
+  const int k = 31;
+  for (const auto& ds : {sim::make_human_like(30'000, 501, 15.0),
+                         sim::make_wheat_like(30'000, 502, 15.0)}) {
+    for (const std::size_t theta : {256, 4096}) {
+      using Flat = MisraGries<KmerT, seq::KmerHashT>;
+      Flat a(theta);
+      Flat b(theta);
+      MapMisraGries<KmerT> ra(theta);
+      MapMisraGries<KmerT> rb(theta);
+      std::size_t read_index = 0;
+      for (const auto& lib : ds.reads) {
+        for (const auto& read : lib) {
+          const bool even = read_index++ % 2 == 0;
+          for (seq::KmerScanner<KmerT::kMaxK> it(read.seq, k); !it.done();
+               it.next()) {
+            const KmerT& canon = it.canonical();
+            (even ? a : b).offer(canon, canon.hash(), 1);
+            (even ? ra : rb).offer(canon, 1);
+          }
+        }
+      }
+      const std::string what = ds.name + " theta=" + std::to_string(theta);
+      // Far more distinct k-mers than θ, so both sides decrement often.
+      EXPECT_GT(a.stream_length(), 10 * theta) << what;
+      expect_matches_reference(a, ra, what + " even");
+      expect_matches_reference(b, rb, what + " odd");
+      a.merge(b);
+      ra.merge(rb);
+      expect_matches_reference(a, ra, what + " merged");
+    }
+  }
 }
 
 // ---- end-to-end k-mer analysis ----
