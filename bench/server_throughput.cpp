@@ -173,8 +173,11 @@ int main(int argc, char** argv) {
     for (int c = 0; c < clients; ++c)
       threads.emplace_back([&, c] {
         for (int j = 0; j < jobs_per_client; ++j) {
-          const auto out =
-              "c" + std::to_string(c) + "_" + std::to_string(j) + ".fasta";
+          std::string out = "c";
+          out += std::to_string(c);
+          out += '_';
+          out += std::to_string(j);
+          out += ".fasta";
           if (run_job(*h, out) != 0) completed.fetch_add(1);
         }
       });

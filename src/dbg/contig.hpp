@@ -18,9 +18,8 @@ struct TermInfo {
   /// 'N' — the neighbor k-mer exists but does not extend back uniquely
   ///       (we stopped in front of a fork);
   /// 'X' — no high-quality extension / neighbor absent from the table;
-  /// 'O' — traversal closed a cycle (circular chain);
-  /// 'C' — ran into an already-completed contig (defensive; should not
-  ///       occur for well-formed UU graphs).
+  /// 'O' — the walk re-entered its own chain (a circular chain, or a
+  ///       reverse-complement hairpin).
   char code = 'X';
   /// Canonical junction k-mer for 'F' (the end k-mer itself) and 'N' (the
   /// fork neighbor). Meaningless otherwise.

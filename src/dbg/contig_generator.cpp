@@ -1,9 +1,8 @@
 #include "dbg/contig_generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <deque>
-#include <thread>
 
 #include "dbg/contig_wire.hpp"
 #include "seq/dna.hpp"
@@ -13,6 +12,74 @@
 namespace hipmer::dbg {
 
 using seq::KmerT;
+
+namespace {
+
+/// Side code of a mutual unique extension: a walk continues through it.
+/// Every other side ends a chain with its terminal code ('F', 'N', 'X').
+constexpr char kLink = 'L';
+
+/// A k-mer's extension pair in its own frame, given whether that frame is
+/// the canonical one.
+seq::ExtPair ext_in(bool canonical, const kcount::KmerSummary& s) {
+  return canonical ? s.ext() : seq::flip(s.ext());
+}
+
+/// `x`'s right neighbor through base extension `e`.
+KmerT right_neighbor(const KmerT& x, char e) {
+  return x.shifted_left(seq::base_to_code(e));
+}
+
+/// How `x`'s right side ends once its neighbor `next` (canonical form
+/// `next_canon`) has been read (`next_summary` null when absent): a link
+/// when `next` extends back to `x` with a unique base, 'N' when it does not
+/// (we stand in front of a fork), 'X' when the neighbor is missing.
+char side_code(const KmerT& x, const KmerT& next, const KmerT& next_canon,
+               const kcount::KmerSummary* next_summary) {
+  if (next_summary == nullptr) return seq::kExtNone;
+  return ext_in(next == next_canon, *next_summary).left ==
+                 seq::code_to_base(x.first_base())
+             ? kLink
+             : 'N';
+}
+
+/// The terminal a walk standing on `x` (right extension `e`) records for a
+/// right side that ends with `code`: 'F' names x itself as the junction,
+/// 'N' the fork neighbor.
+TermInfo terminal(const KmerT& x, char e, char code) {
+  TermInfo term;
+  term.code = code;
+  if (code == 'F') {
+    term.junction = x.canonical();
+    term.has_junction = true;
+  } else if (code == 'N') {
+    term.junction = right_neighbor(x, e).canonical();
+    term.has_junction = true;
+  }
+  return term;
+}
+
+/// Package a walked chain in canonical orientation; `left`/`right`
+/// describe `chain`'s ends as given and swap if it is reverse-complemented.
+Contig make_contig(std::string chain, const TermInfo& left,
+                   const TermInfo& right, double depth_sum,
+                   std::size_t kmers) {
+  Contig contig;
+  contig.avg_depth = depth_sum / static_cast<double>(kmers);
+  std::string rc = seq::revcomp(chain);
+  if (rc < chain) {
+    contig.seq = std::move(rc);
+    contig.left = right;
+    contig.right = left;
+  } else {
+    contig.seq = std::move(chain);
+    contig.left = left;
+    contig.right = right;
+  }
+  return contig;
+}
+
+}  // namespace
 
 ContigGenerator::ContigGenerator(pgas::ThreadTeam& team, ContigGenConfig config,
                                  std::size_t expected_kmers)
@@ -27,42 +94,6 @@ ContigGenerator::ContigGenerator(pgas::ThreadTeam& team, ContigGenConfig config,
   mc.flush_threshold = config_.flush_threshold;
   map_ = std::make_unique<Map>(team, mc);
   map_->set_name("dbg.graph");
-  claim_rmw_ = map_->register_rmw<ClaimArgs, ClaimResult>(
-      [](Node& node, const ClaimArgs& a) -> ClaimResult {
-        // Mutual-extension check *before* claiming: stepping into a k-mer
-        // is only legal if it extends back to us with a unique high-quality
-        // base; otherwise we are standing in front of a fork and the contig
-        // ends here (without disturbing the neighbor's state).
-        if (a.expect_back != '\0') {
-          auto pair = node.summary.ext();
-          if (a.flipped != 0) pair = seq::flip(pair);
-          const char back = a.back_is_left != 0 ? pair.left : pair.right;
-          if (back != a.expect_back)
-            return ClaimResult{ClaimOutcome::kMismatch, {}};
-        }
-        if (node.state == 2) return ClaimResult{ClaimOutcome::kComplete, {}};
-        if (node.state == 1) {
-          if (node.ticket == a.ticket)
-            return ClaimResult{ClaimOutcome::kSelf, {}};
-          return ClaimResult{node.ticket < a.ticket ? ClaimOutcome::kBusyLower
-                                                    : ClaimOutcome::kBusyHigher,
-                             {}};
-        }
-        node.state = 1;
-        node.ticket = a.ticket;
-        return ClaimResult{ClaimOutcome::kClaimed, node.summary};
-      });
-  set_state_rmw_ = map_->register_rmw<SetStateArgs, std::uint8_t>(
-      [](Node& node, const SetStateArgs& a) -> std::uint8_t {
-        // Only touch k-mers still held by the expected ticket: during an
-        // abort, a spinning winner may already have re-claimed released
-        // k-mers, and clobbering its claim would corrupt both traversals.
-        if (node.state == 1 && node.ticket == a.owner_ticket) {
-          node.state = a.state;
-          node.ticket = a.ticket;
-        }
-        return 0;
-      });
   read_summary_rmw_ = map_->register_rmw<std::uint8_t, kcount::KmerSummary>(
       [](Node& node, const std::uint8_t&) { return node.summary; });
 }
@@ -90,302 +121,248 @@ void ContigGenerator::build_graph(
   rank.barrier();
 }
 
-void ContigGenerator::count_lookup(pgas::Rank& rank, const KmerT& canon,
-                                   LookupStats& scratch) {
+void ContigGenerator::count_lookup(pgas::Rank& rank, const KmerT& canon) {
+  auto& stats = lookups_[static_cast<std::size_t>(rank.id())];
   const auto owner = static_cast<int>(map_->owner_of(canon));
   if (owner == rank.id()) {
-    ++scratch.local;
+    ++stats.local;
   } else if (rank.topology().same_node(owner, rank.id())) {
-    ++scratch.onnode;
+    ++stats.onnode;
   } else {
-    ++scratch.offnode;
+    ++stats.offnode;
   }
 }
 
-ContigGenerator::ClaimResult ContigGenerator::try_claim(pgas::Rank& rank,
-                                                        const KmerT& fwd,
-                                                        std::uint64_t ticket,
-                                                        char expect_back,
-                                                        bool back_is_left) {
-  const bool flipped = !fwd.is_canonical();
-  const KmerT canon = flipped ? fwd.revcomp() : fwd;
-  ClaimArgs args;
-  args.ticket = ticket;
-  args.expect_back = expect_back;
-  args.flipped = flipped ? 1 : 0;
-  args.back_is_left = back_is_left ? 1 : 0;
-  auto result = map_->rmw<ClaimResult>(rank, canon, claim_rmw_, args);
-  if (!result.has_value()) return ClaimResult{ClaimOutcome::kAbsent, {}};
-  return *result;
-}
-
-void ContigGenerator::set_states(pgas::Rank& rank, const std::string& subcontig,
-                                 std::uint8_t state, std::uint64_t ticket,
-                                 std::uint64_t owner_ticket) {
-  SetStateArgs args;
-  args.state = state;
-  args.ticket = ticket;
-  args.owner_ticket = owner_ticket;
-  for (seq::KmerScanner<KmerT::kMaxK> it(subcontig, config_.k); !it.done();
-       it.next()) {
-    map_->rmw<std::uint8_t>(rank, it.canonical(), set_state_rmw_, args);
-  }
-}
-
-ContigGenerator::GrowResult ContigGenerator::grow_right(
-    pgas::Rank& rank, std::string& subcontig, std::uint64_t ticket,
-    TermInfo& term, double& depth_sum, std::size_t& kmer_count,
-    LookupStats& scratch) {
-  // Current frontier k-mer (forward frame of the subcontig) + its summary.
-  KmerT cur = KmerT::from_string(
-      std::string_view(subcontig).substr(subcontig.size() - static_cast<std::size_t>(config_.k)));
-  const bool cur_flipped = !cur.is_canonical();
-  const KmerT cur_canon = cur_flipped ? cur.revcomp() : cur;
-  count_lookup(rank, cur_canon, scratch);
-  auto cur_summary_opt = map_->rmw<kcount::KmerSummary>(
-      rank, cur_canon, read_summary_rmw_, std::uint8_t{0});
-  assert(cur_summary_opt.has_value() && "frontier k-mer must be claimed");
-  kcount::KmerSummary cur_summary = *cur_summary_opt;
-
+ContigGenerator::WalkEnd ContigGenerator::walk(pgas::Rank& rank,
+                                               std::string& chain,
+                                               kcount::KmerSummary summary,
+                                               double& depth_sum,
+                                               std::size_t& kmers,
+                                               const KmerT* bound) {
+  const KmerT start = KmerT::from_string(std::string_view(chain).substr(
+      chain.size() - static_cast<std::size_t>(config_.k)));
+  KmerT cur = start;
+  KmerT cur_canon = start.canonical();
+  WalkEnd end;
+  end.last = cur_canon;
+  end.before_last = cur_canon;
   while (true) {
-    auto pair = cur_summary.ext();
-    if (!cur.is_canonical()) pair = seq::flip(pair);
-    const char e = pair.right;
-    if (e == seq::kExtFork) {
-      term.code = 'F';
-      term.junction = cur.canonical();
-      term.has_junction = true;
-      return GrowResult::kOk;
+    const char e = ext_in(cur == cur_canon, summary).right;
+    if (e == seq::kExtFork || e == seq::kExtNone) {
+      end.term = terminal(cur, e, e);
+      return end;
     }
-    if (e == seq::kExtNone) {
-      term.code = 'X';
-      term.has_junction = false;
-      return GrowResult::kOk;
-    }
-
-    const KmerT next = cur.shifted_left(seq::base_to_code(e));
-    const char expect_back = seq::code_to_base(cur.first_base());
+    const KmerT next = right_neighbor(cur, e);
     const KmerT next_canon = next.canonical();
-    // One logical lookup per neighbor exploration: spin retries while a
-    // conflicting traversal resolves are not additional Table-2 lookups.
-    count_lookup(rank, next_canon, scratch);
-    while (true) {
-      const ClaimResult res =
-          try_claim(rank, next, ticket, expect_back, /*back_is_left=*/true);
-      rank.stats().add_work();
-      switch (res.outcome) {
-        case ClaimOutcome::kClaimed:
-          subcontig.push_back(e);
-          cur = next;
-          cur_summary = res.summary;
-          depth_sum += res.summary.depth;
-          ++kmer_count;
-          break;  // out of claim-retry loop, continue growing
-        case ClaimOutcome::kMismatch:
-          term.code = 'N';
-          term.junction = next.canonical();
-          term.has_junction = true;
-          return GrowResult::kOk;
-        case ClaimOutcome::kAbsent:
-          term.code = 'X';
-          term.has_junction = false;
-          return GrowResult::kOk;
-        case ClaimOutcome::kSelf:
-          term.code = 'O';
-          term.has_junction = false;
-          return GrowResult::kOk;
-        case ClaimOutcome::kComplete:
-          // Defensive: a completed contig we extend into cleanly should be
-          // unreachable (see header); terminate rather than corrupt it.
-          term.code = 'C';
-          term.junction = next.canonical();
-          term.has_junction = true;
-          return GrowResult::kOk;
-        case ClaimOutcome::kBusyLower:
-          return GrowResult::kAbort;
-        case ClaimOutcome::kBusyHigher:
-          // The higher ticket will abort when it meets us (ticket order);
-          // yield until the k-mer frees up.
-          rank.progress();
-          std::this_thread::yield();
-          continue;
-      }
-      break;
+    count_lookup(rank, next_canon);
+    rank.stats().add_work();
+    const auto next_summary = map_->rmw<kcount::KmerSummary>(
+        rank, next_canon, read_summary_rmw_, std::uint8_t{0});
+    const char code = side_code(cur, next, next_canon,
+                                next_summary ? &*next_summary : nullptr);
+    if (code != kLink) {
+      end.term = terminal(cur, e, code);
+      return end;
     }
+    // Each side links at most once, so a walk can revisit only its start
+    // (closing a pure cycle) or the frontier's own reverse complement (a
+    // hairpin). Both end the chain as a re-entry.
+    if (next == start || next_canon == cur_canon) {
+      end.term.code = 'O';
+      end.closed = next == start;
+      return end;
+    }
+    if (bound != nullptr && next_canon < *bound) {
+      end.below_bound = true;
+      return end;
+    }
+    chain.push_back(e);
+    end.before_last = cur_canon;
+    end.last = next_canon;
+    cur = next;
+    cur_canon = next_canon;
+    summary = *next_summary;
+    depth_sum += summary.depth;
+    ++kmers;
+  }
+}
+
+void ContigGenerator::sweep_cycles(
+    pgas::Rank& rank, const std::vector<std::pair<KmerT, Node>>& local) {
+  auto& my_contigs = contigs_[static_cast<std::size_t>(rank.id())];
+  // Mark every k-mer the emitted chains cover at its owner.
+  std::vector<std::vector<KmerT>> covered(
+      static_cast<std::size_t>(rank.nranks()));
+  for (const auto& contig : my_contigs) {
+    for (seq::KmerScanner<KmerT::kMaxK> it(contig.seq, config_.k); !it.done();
+         it.next())
+      covered[map_->owner_of(it.canonical())].push_back(it.canonical());
+  }
+  auto seen = rank.alltoallv(covered);
+  std::sort(seen.begin(), seen.end());
+
+  // Every uncovered local k-mer lies on a chain without ends. Walk it from
+  // each such k-mer, giving up at any smaller k-mer, so only the walk from
+  // the chain's smallest k-mer completes.
+  for (const auto& [kmer, node] : local) {
+    if (std::binary_search(seen.begin(), seen.end(), kmer)) continue;
+    std::string chain = kmer.to_string();
+    double depth_sum = node.summary.depth;
+    std::size_t kmers = 1;
+    const WalkEnd ahead =
+        walk(rank, chain, node.summary, depth_sum, kmers, &kmer);
+    if (ahead.below_bound) continue;
+    // A cycle closes on its start; a hairpin-closed chain still extends
+    // back from the start.
+    TermInfo behind = ahead.term;
+    if (!ahead.closed) {
+      chain = seq::revcomp(chain);
+      const WalkEnd back =
+          walk(rank, chain, node.summary, depth_sum, kmers, &kmer);
+      if (back.below_bound) continue;
+      behind = back.term;
+    }
+    my_contigs.push_back(
+        make_contig(std::move(chain), ahead.term, behind, depth_sum, kmers));
   }
 }
 
 void ContigGenerator::traverse(pgas::Rank& rank) {
-  // Seeds: every k-mer in this rank's local buckets. Collect first —
-  // claiming inside for_each_local would self-deadlock on bucket locks.
-  //
-  // Locality-aware schedule: seeds whose graph neighbors also live on this
-  // rank grow first; seeds that would immediately extend onto another rank
-  // are deferred. Under oracle partitioning a contig's k-mers share one
-  // rank, so "remote-extending" seeds are precisely the misplaced ones
-  // (hash collisions in the oracle vector, private variants): growing them
-  // eagerly would walk whole contigs through remote memory, while after
-  // deferral the home rank has usually completed the contig and the seed
-  // resolves with a single lookup.
-  std::vector<KmerT> seeds;
-  std::vector<KmerT> deferred;
-  lookups_[static_cast<std::size_t>(rank.id())] = LookupStats{};
-  seeds.reserve(map_->local_size(rank.id()));
-  const auto me = static_cast<std::uint32_t>(rank.id());
-  map_->for_each_local(rank, [&](const KmerT& km, Node& node) {
-    // Local-extending iff *every* base-extension neighbor also lives here
-    // (a misplaced k-mer adjacent to another misplaced k-mer would
-    // otherwise start a remote walk in the eager phase).
-    const auto ext = node.summary.ext();
-    bool all_local = true;
-    if (seq::is_base_ext(ext.right)) {
-      const KmerT next = km.shifted_left(seq::base_to_code(ext.right));
-      all_local &= map_->owner_of(next.canonical()) == me;
-    }
-    if (all_local && seq::is_base_ext(ext.left)) {
-      const KmerT prev = km.shifted_right(seq::base_to_code(ext.left));
-      all_local &= map_->owner_of(prev.canonical()) == me;
-    }
-    if (all_local) {
-      seeds.push_back(km);
-    } else {
-      deferred.push_back(km);
-    }
-  });
-
-  auto& my_contigs = contigs_[static_cast<std::size_t>(rank.id())];
+  const auto me = static_cast<std::size_t>(rank.id());
+  lookups_[me] = LookupStats{};
+  auto& my_contigs = contigs_[me];
   my_contigs.clear();
 
-  std::uint64_t counter = 0;
-  // Deferred (remote-extending) seeds draw tickets from a high band: if one
-  // does start a traversal through another rank's territory, it loses every
-  // conflict against a home traversal instead of sometimes walking a whole
-  // contig through remote memory. Ticket order stays globally unique.
-  constexpr std::uint64_t kDeferredBand = std::uint64_t{1} << 48;
-  auto next_ticket = [&](bool is_deferred) {
-    // Globally unique, nonzero, interleaved across ranks so no rank's
-    // traversals systematically dominate conflict resolution.
-    return (is_deferred ? kDeferredBand : 0) +
-           ++counter * static_cast<std::uint64_t>(rank.nranks()) +
-           static_cast<std::uint64_t>(rank.id()) + 1;
+  // 1. Classify every side of every local k-mer. Side 1 is the k-mer's
+  // right side; side 0, its left, is the right side of its reverse
+  // complement, so both sides read the same way.
+  std::vector<std::pair<KmerT, Node>> local;
+  local.reserve(map_->local_size(rank.id()));
+  map_->for_each_local(rank, [&](const KmerT& km, Node& node) {
+    local.emplace_back(km, node);
+  });
+  auto frame = [&](std::size_t i, int side) {
+    return side == 1 ? local[i].first : local[i].first.revcomp();
   };
-
-  struct Seed {
-    KmerT kmer;
-    bool is_deferred;
+  auto right_ext = [&](std::size_t i, int side) {
+    return ext_in(side == 1, local[i].second.summary).right;
   };
-  std::deque<Seed> pending;
-  for (const auto& km : seeds) pending.push_back(Seed{km, false});
-  // Two-phase schedule: every rank drains its local-extending seeds, then a
-  // barrier, then the deferred seeds. By phase 2 nearly every contig is
-  // COMPLETE, so a deferred seed usually resolves with a single lookup
-  // instead of racing a home traversal for a whole remote walk (which would
-  // also make the Table-2 lookup counts schedule-dependent).
-  bool deferred_enqueued = false;
-  // The claim/abort walk is mixed-phase *by protocol*: fine-grained RMW
-  // claims (try_claim/set_states) interleave with the batched deferred-seed
-  // pre-screen inside a single epoch, on every rank at once. It is correct
-  // because each node's claim state arbitrates access — a traversal only
-  // reads k-mers it has claimed, aborts revert only ACTIVE claims, and
-  // COMPLETE is final — so the bulk-synchronous WRITE/READ alternation the
-  // checker enforces elsewhere does not apply inside this scope (UPC's
-  // "relaxed" mode). The scope runs to the end of traverse(); the claim
-  // protocol ends at the barrier below and the renumbering that follows
-  // never touches the table.
-  pgas::RelaxedPhase relaxed_claims(rank, *map_);
-  while (!pending.empty() || !deferred_enqueued) {
-    if (pending.empty()) {
-      rank.barrier();
-      // Batched pre-screen (aggregated lookup path): most deferred seeds
-      // sit inside contigs their home rank completed during phase 1, so
-      // one aggregated read per owner replaces a fine-grained claim per
-      // seed. A seed observed COMPLETE stays complete (completion is
-      // final; aborts only revert ACTIVE claims), so skipping it is
-      // exactly what the claim path would have done — any seed observed
-      // otherwise falls through to the normal claim protocol.
-      std::vector<char> complete(deferred.size(), 0);
-      auto screen = [&](const KmerT&, const Node* node, std::uint64_t tag) {
-        if (node != nullptr && node->state == 2)
-          complete[static_cast<std::size_t>(tag)] = 1;
-      };
-      for (std::size_t i = 0; i < deferred.size(); ++i)
-        map_->find_buffered(rank, deferred[i], i, screen);
-      map_->process_lookups(rank, screen);
-      for (std::size_t i = 0; i < deferred.size(); ++i)
-        if (complete[i] == 0) pending.push_back(Seed{deferred[i], true});
-      deferred_enqueued = true;
-      if (pending.empty()) break;
-      continue;
+  std::vector<std::array<char, 2>> sides(local.size());
+  auto classify = [&](const KmerT& key, const Node* node, std::uint64_t tag) {
+    const std::size_t i = tag >> 1;
+    const int side = static_cast<int>(tag & 1);
+    const KmerT x = frame(i, side);
+    sides[i][static_cast<std::size_t>(side)] =
+        side_code(x, right_neighbor(x, right_ext(i, side)), key,
+                  node != nullptr ? &node->summary : nullptr);
+  };
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    for (int side = 0; side < 2; ++side) {
+      const char e = right_ext(i, side);
+      if (e == seq::kExtFork || e == seq::kExtNone) {
+        sides[i][static_cast<std::size_t>(side)] = e;
+      } else {
+        map_->find_buffered(
+            rank, right_neighbor(frame(i, side), e).canonical(),
+            (i << 1) | static_cast<std::size_t>(side), classify);
+      }
     }
-    const Seed seed_entry = pending.front();
-    const KmerT seed = seed_entry.kmer;
-    pending.pop_front();
-    const std::uint64_t ticket = next_ticket(seed_entry.is_deferred);
-
-    const ClaimResult sres = try_claim(rank, seed, ticket, '\0', true);
-    rank.stats().add_work();
-    if (sres.outcome == ClaimOutcome::kComplete ||
-        sres.outcome == ClaimOutcome::kAbsent) {
-      continue;  // already part of a finished contig
-    }
-    if (sres.outcome != ClaimOutcome::kClaimed) {
-      pending.push_back(seed_entry);  // someone is actively working here
-      rank.progress();
-      std::this_thread::yield();
-      continue;
-    }
-
-    std::string sub = seed.to_string();
-    double depth_sum = sres.summary.depth;
-    std::size_t kmer_count = 1;
-    LookupStats scratch;
-    TermInfo term_a;  // right end of the initial orientation
-    if (grow_right(rank, sub, ticket, term_a, depth_sum, kmer_count,
-                   scratch) == GrowResult::kAbort) {
-      set_states(rank, sub, 0, 0, ticket);
-      pending.push_back(seed_entry);
-      rank.progress();
-      std::this_thread::yield();
-      continue;
-    }
-    // Grow the other direction by flipping the frame: extending revcomp(s)
-    // rightward is extending s leftward.
-    sub = seq::revcomp(sub);
-    TermInfo term_b;  // right end of the flipped frame = left end of s
-    if (grow_right(rank, sub, ticket, term_b, depth_sum, kmer_count,
-                   scratch) == GrowResult::kAbort) {
-      set_states(rank, sub, 0, 0, ticket);
-      pending.push_back(seed_entry);
-      rank.progress();
-      std::this_thread::yield();
-      continue;
-    }
-    lookups_[static_cast<std::size_t>(rank.id())] += scratch;
-
-    set_states(rank, sub, 2, ticket, ticket);
-    if (sub.size() < config_.min_contig_len) continue;
-
-    Contig contig;
-    contig.avg_depth = depth_sum / static_cast<double>(kmer_count);
-    // `sub` currently: right end grown by phase B (term_b), left end is
-    // phase A's end (term_a). Canonicalize the stored orientation.
-    std::string rc = seq::revcomp(sub);
-    if (rc < sub) {
-      contig.seq = std::move(rc);
-      contig.left = term_b;
-      contig.right = term_a;
-    } else {
-      contig.seq = std::move(sub);
-      contig.left = term_a;
-      contig.right = term_b;
-    }
-    my_contigs.push_back(std::move(contig));
   }
+  map_->process_lookups(rank, classify);
+  // The walks read through the registered-RMW path, which the phase rules
+  // count as stores: close the lookup phase first.
   rank.barrier();
 
-  // Deterministic renumbering: which rank completed which contig depends on
-  // scheduling, but downstream modules tie-break on contig ids, so ids must
-  // be a pure function of the contig *set*. Redistribute each contig to
+  auto side_term = [&](std::size_t i, int side) {
+    return terminal(frame(i, side), right_ext(i, side),
+                    sides[i][static_cast<std::size_t>(side)]);
+  };
+
+  // 2. Chain ends: a k-mer with a terminal side. A k-mer with two is a
+  // whole chain and needs no walk. Ends walk in rounds: those whose inward
+  // neighbor is local first (the locality phase), each phase split into
+  // 2^kHashRoundBits rounds by the top bits of the mixed k-mer hash, so
+  // that fewer chains are walked from both ends in the same round.
+  constexpr int kHashRoundBits = 2;
+  constexpr std::uint32_t kHashRounds = 1U << kHashRoundBits;
+  auto round_of = [&](const KmerT& end, const KmerT& inward) {
+    const bool local_first = map_->owner_of(inward) == map_->owner_of(end);
+    return (local_first ? 0 : kHashRounds) +
+           static_cast<std::uint32_t>(util::fmix64(map_->hash_of(end)) >>
+                                      (64 - kHashRoundBits));
+  };
+  struct End {
+    std::size_t i;
+    int inward;
+  };
+  std::vector<std::vector<End>> rounds(2 * kHashRounds);
+  std::uint64_t emitted_kmers = 0;
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    const bool left_link = sides[i][0] == kLink;
+    const bool right_link = sides[i][1] == kLink;
+    if (left_link && right_link) continue;
+    if (!left_link && !right_link) {
+      my_contigs.push_back(make_contig(local[i].first.to_string(),
+                                       side_term(i, 0), side_term(i, 1),
+                                       local[i].second.summary.depth, 1));
+      ++emitted_kmers;
+      continue;
+    }
+    const int inward = right_link ? 1 : 0;
+    const KmerT in =
+        right_neighbor(frame(i, inward), right_ext(i, inward)).canonical();
+    rounds[round_of(local[i].first, in)].push_back(End{i, inward});
+  }
+
+  // 3. Walk each end inward. A walk whose far end walks in a later round
+  // emits the chain and marks that end done at its owner; within one round
+  // the start that is <= the far end emits. A walk stopped by a hairpin
+  // re-entry has no second walker and always emits.
+  std::vector<KmerT> done;
+  for (std::uint32_t round = 0; round < rounds.size(); ++round) {
+    std::vector<std::vector<KmerT>> marks(
+        static_cast<std::size_t>(rank.nranks()));
+    for (const auto& end : rounds[round]) {
+      const auto& [kmer, node] = local[end.i];
+      if (std::binary_search(done.begin(), done.end(), kmer)) continue;
+      std::string chain = frame(end.i, end.inward).to_string();
+      double depth_sum = node.summary.depth;
+      std::size_t kmers = 1;
+      const WalkEnd far = walk(rank, chain, node.summary, depth_sum, kmers);
+      bool emit = far.term.code == 'O';
+      if (!emit) {
+        // A far end in an earlier round would have marked this one done.
+        const auto far_round = round_of(far.last, far.before_last);
+        assert(far_round >= round);
+        emit = far_round > round || kmer <= far.last;
+        if (far_round > round)
+          marks[map_->owner_of(far.last)].push_back(far.last);
+      }
+      if (!emit) continue;
+      emitted_kmers += kmers;
+      my_contigs.push_back(make_contig(std::move(chain),
+                                       side_term(end.i, 1 - end.inward),
+                                       far.term, depth_sum, kmers));
+    }
+    const auto marked = rank.alltoallv(marks);
+    done.insert(done.end(), marked.begin(), marked.end());
+    std::sort(done.begin(), done.end());
+  }
+
+  // 4. Chains without ends are the only k-mers the walks miss. The
+  // per-rank differences may wrap; their sum is exact.
+  if (rank.allreduce_sum<std::uint64_t>(local.size() - emitted_kmers) != 0)
+    sweep_cycles(rank, local);
+
+  if (config_.min_contig_len > 0) {
+    std::erase_if(my_contigs, [&](const Contig& contig) {
+      return contig.seq.size() < config_.min_contig_len;
+    });
+  }
+
+  // Deterministic renumbering: which rank emits which contig depends on
+  // the partition, but downstream modules tie-break on contig ids, so ids
+  // must be a pure function of the contig *set*. Redistribute each contig to
   // rank hash(seq) % P, sort within the rank by (hash, seq), and assign
   // dense ids by exclusive scan — identical for every schedule and every
   // rank count.

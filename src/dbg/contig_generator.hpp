@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dbg/contig.hpp"
@@ -16,22 +17,32 @@
 ///
 /// The graph is implicit: every reliable k-mer sits in a distributed hash
 /// table with its two-letter extension code; neighbors are computed from
-/// the key plus the code. Each rank seeds traversals from k-mers in its
-/// *local* buckets ("if the processors select traversal seeds from local
-/// buckets, they will be mostly performing local accesses ... when the
-/// oracle partitioning is in effect") and grows a subcontig base by base in
-/// both directions; every step is one lookup in the distributed table —
-/// the O(G) communication the oracle partitioning attacks.
+/// the key plus the code. A contig is a maximal chain of *mutual unique
+/// extensions* (each k-mer extends uniquely to the next, which extends
+/// uniquely back), and those chains partition the graph, so the contig set
+/// is a graph property.
 ///
-/// Race handling (the "lightweight synchronization scheme" of the SC'14
-/// predecessor): a k-mer is claimed under its bucket lock with a globally
-/// unique ticket. When two traversals collide, the one holding the
-/// *higher* ticket aborts — it releases every k-mer it claimed and requeues
-/// its seed — while the lower ticket spins until the contested k-mer frees
-/// up. Ticket order makes the scheme livelock-free, and aborted regions are
-/// always re-traversed by the winning ticket, so the resulting contig set
-/// is exactly the set of maximal unbranched chains regardless of schedule
-/// or rank count (tests assert this determinism).
+/// The traversal walks each chain from its ends and shares no mutable
+/// state between walks:
+///   1. classify: one batched lookup pass over each rank's local k-mers
+///      decides, per side, whether it is a mutual link or which terminal a
+///      walk records there; a k-mer with a terminal side is a chain end;
+///   2. walk: from each end, step inward with one fine-grained read per
+///      k-mer — the O(G) communication the oracle partitioning attacks —
+///      writing nothing;
+///   3. emit once: within a round, a walk emits when its start is <= its
+///      far end in canonical k-mer order (a walk that stops on a hairpin has
+///      no second walker and always emits);
+///   4. locality: ends whose inward neighbor is local walk first, in
+///      rounds; a walk whose far end walks in a later round (for a local
+///      walk: one whose far end would walk remotely) emits the chain itself
+///      and marks that end done, so under the oracle a misplaced end never
+///      walks a whole contig through remote memory;
+///   5. cycles: chains with no end are found by comparing the emitted k-mer
+///      total with the graph size, and each is walked from its smallest
+///      canonical k-mer by that k-mer's owner.
+/// Every step is a pure function of the graph and the partition, so the
+/// contig set and every rank's counters repeat exactly across runs.
 namespace hipmer::dbg {
 
 struct ContigGenConfig {
@@ -44,11 +55,9 @@ struct ContigGenConfig {
 
 class ContigGenerator {
  public:
-  /// Traversal/claim state per k-mer, stored with the UFX data.
+  /// Graph vertex: the k-mer's UFX summary (count + extension codes).
   struct Node {
     kcount::KmerSummary summary;
-    std::uint8_t state = 0;  // 0 = unused, 1 = active, 2 = complete
-    std::uint64_t ticket = 0;
   };
   using Map =
       pgas::DistHashMap<seq::KmerT, Node, seq::KmerHashT,
@@ -86,8 +95,8 @@ class ContigGenerator {
   /// Traversal lookup counts, classified by owner locality — the quantity
   /// Table 2 of the paper reports ("92.8% of the lookups result in
   /// off-node communication"). Counts only the hash-table lookups
-  /// performed while exploring the graph (frontier reads and neighbor
-  /// claims), not seed scans or completion marking.
+  /// performed while walking the graph (one neighbor read per step), not
+  /// the batched classification pass or end marking.
   struct LookupStats {
     std::uint64_t local = 0;
     std::uint64_t onnode = 0;
@@ -122,71 +131,37 @@ class ContigGenerator {
   [[nodiscard]] Map& graph() { return *map_; }
 
  private:
-  enum class ClaimOutcome {
-    kClaimed,
-    kBusyLower,   // held by a lower ticket -> abort self
-    kBusyHigher,  // held by a higher ticket -> spin
-    kSelf,        // own ticket -> cycle closed
-    kComplete,
-    kMismatch,  // extension not mutual (fork ahead)
-    kAbsent,
+  /// Where a walk stopped.
+  struct WalkEnd {
+    TermInfo term;
+    /// Canonical last k-mer of the walk and the one before it (equal when
+    /// the walk took no step).
+    seq::KmerT last;
+    seq::KmerT before_last;
+    /// Stopped by re-entering its start (a pure cycle).
+    bool closed = false;
+    /// Stopped at a k-mer below the caller's bound (cycle sweep only).
+    bool below_bound = false;
   };
 
-  struct ClaimResult {
-    ClaimOutcome outcome;
-    kcount::KmerSummary summary;  // valid when kClaimed
-  };
+  /// Extend `chain` rightward from its last k-mer (whose summary is
+  /// `summary`) until a terminal or a re-entry, adding each step's depth
+  /// and k-mer. With `bound`, stop early at any k-mer below it.
+  WalkEnd walk(pgas::Rank& rank, std::string& chain,
+               kcount::KmerSummary summary, double& depth_sum,
+               std::size_t& kmers, const seq::KmerT* bound = nullptr);
 
-  /// POD argument blocks for the registered RMWs (the claim protocol must
-  /// execute on the k-mer's owner, which on a multi-process fabric is in
-  /// another address space — closures cannot ship, PODs can).
-  struct ClaimArgs {
-    std::uint64_t ticket = 0;
-    char expect_back = '\0';
-    std::uint8_t flipped = 0;
-    std::uint8_t back_is_left = 0;
-  };
-  struct SetStateArgs {
-    std::uint8_t state = 0;
-    std::uint64_t ticket = 0;
-    std::uint64_t owner_ticket = 0;
-  };
+  /// Record one traversal lookup against `canon`'s owner.
+  void count_lookup(pgas::Rank& rank, const seq::KmerT& canon);
 
-  /// Atomically (under the bucket lock) verify the mutual-extension
-  /// condition and claim the k-mer for `ticket`. `expect_back` is the base
-  /// the neighbor must extend back with ('\0' skips the check, used for
-  /// seeds).
-  ClaimResult try_claim(pgas::Rank& rank, const seq::KmerT& fwd,
-                        std::uint64_t ticket, char expect_back,
-                        bool back_is_left);
-
-  /// Walk a completed/aborted subcontig and transition every k-mer still
-  /// held by `owner_ticket` to (`state`, `ticket`).
-  void set_states(pgas::Rank& rank, const std::string& subcontig,
-                  std::uint8_t state, std::uint64_t ticket,
-                  std::uint64_t owner_ticket);
-
-  enum class GrowResult { kOk, kAbort };
-  /// Extend `subcontig` rightward (toward higher indices) until
-  /// termination or conflict-abort. On success fills `term`. Lookups are
-  /// tallied into `scratch`; the caller commits them only for completed
-  /// traversals so the Table-2 locality metric reflects the algorithm, not
-  /// scheduler-dependent abort/retry re-execution (whose cost still shows
-  /// in the comm counters / machine model).
-  GrowResult grow_right(pgas::Rank& rank, std::string& subcontig,
-                        std::uint64_t ticket, TermInfo& term,
-                        double& depth_sum, std::size_t& kmer_count,
-                        LookupStats& scratch);
-
-  /// Record one traversal lookup against `key`'s owner into `scratch`.
-  void count_lookup(pgas::Rank& rank, const seq::KmerT& canon,
-                    LookupStats& scratch);
+  /// Walk every chain that has no end (pure cycles, hairpin-closed chains)
+  /// once: collective, run only when emitted contigs miss graph k-mers.
+  void sweep_cycles(pgas::Rank& rank,
+                    const std::vector<std::pair<seq::KmerT, Node>>& local);
 
   pgas::ThreadTeam& team_;
   ContigGenConfig config_;
   std::unique_ptr<Map> map_;
-  Map::RmwId claim_rmw_ = 0;
-  Map::RmwId set_state_rmw_ = 0;
   Map::RmwId read_summary_rmw_ = 0;
   const OraclePartition* oracle_ = nullptr;
   std::vector<std::vector<Contig>> contigs_;

@@ -50,13 +50,13 @@ using CallSite = std::source_location;
 namespace hipmer::pgas {
 
 /// RAII opt-out from the phase rules for one table on one rank: UPC's
-/// "relaxed" access mode made explicit. Some protocols *are* mixed-phase by
-/// design — the traversal's speculative claim/abort loop interleaves fine
-/// RMW claims with batched pre-screen lookups inside a single epoch, and is
-/// correct because every entry it touches is guarded by its own claim state.
-/// Wrapping such a block in a RelaxedPhase documents that at the call site
-/// and silences the checker for exactly that scope; everything outside it
-/// stays strict. Compiles to nothing when HIPMER_CHECKED is off.
+/// "relaxed" access mode made explicit. A protocol that is mixed-phase by
+/// design — fine RMWs interleaved with batched lookups inside one epoch,
+/// each entry guarded by its own state — wraps that block in a
+/// RelaxedPhase to document it at the call site and silence the checker
+/// for exactly that scope; everything outside it stays strict. No `src/`
+/// phase uses it; it stays for the deliberate-violation tests that pin the
+/// opt-out. Compiles to nothing when HIPMER_CHECKED is off.
 #if defined(HIPMER_CHECKED)
 template <typename Table>
 class RelaxedPhase {

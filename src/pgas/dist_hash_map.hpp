@@ -262,9 +262,9 @@ class DistHashMap {
   // An arbitrary closure cannot cross an address space, so the table's
   // in-place RMW names the operation up front — its captures become a POD
   // argument block — and the owner process can execute it on a
-  // multi-process fabric from a [rmw-id, key, args] request. This is the
-  // primitive the traversal's claim/abort protocol and the scaffolder's
-  // tie updates are built on. Registration runs in serial context during
+  // multi-process fabric from a [rmw-id, key, args] request. The
+  // traversal's remote summary reads and the scaffolder's tie updates are
+  // built on it. Registration runs in serial context during
   // SPMD structure construction; every process constructs the same
   // structures in the same order, so ids agree across the team without
   // negotiation.

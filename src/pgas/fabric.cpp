@@ -707,14 +707,6 @@ void SocketFabric::poll_until(const std::function<bool()>& done) {
   await(done);
 }
 
-void SocketFabric::progress() {
-  struct pollfd p{fd_, POLLIN, 0};
-  if (poll(&p, 1, 0) > 0) read_ready();
-  while (dispatch_one()) {
-  }
-  check_down();
-}
-
 void SocketFabric::barrier(const BarrierPoint& pt) {
   Frame f;
   f.kind = FrameKind::kBarrier;

@@ -108,13 +108,6 @@ class Fabric {
   /// Serve inbound frames until `done()` — the await primitive for
   /// protocol layers (outstanding lookup replies, ...).
   virtual void poll_until(const std::function<bool()>& done) = 0;
-  /// Serve whatever is already queued or readable, without blocking.
-  /// Spin-wait loops (claim-retry, chain traversal) must call this: the
-  /// local state they watch is mutated by peer RPCs, which on a
-  /// multiprocess fabric land only when the hosting rank serves its inbox.
-  /// In-process backends need nothing — peers mutate shared memory
-  /// directly.
-  virtual void progress() {}
 
   /// Serial context, between jobs on a long-lived team: rebuild whatever
   /// synchronization state a previous job's fault unwind consumed. The
@@ -261,7 +254,6 @@ class SocketFabric final : public Fabric {
   std::vector<std::byte> rpc(std::uint32_t service, int dst,
                              std::vector<std::byte> payload) override;
   void poll_until(const std::function<bool()>& done) override;
-  void progress() override;
 
   void barrier(const BarrierPoint& pt) override;
   void abandon(int rank) override;

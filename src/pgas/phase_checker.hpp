@@ -32,9 +32,10 @@
 ///                             direction on one table in one epoch
 ///
 /// Phases where mixed fine-RMW + batched-read traffic is the *protocol*
-/// (the traversal's speculative claim/abort loop) opt out explicitly with a
-/// `RelaxedPhase` scope — the UPC "relaxed" access mode, made visible and
-/// grep-able at the call site.
+/// can opt out explicitly with a `RelaxedPhase` scope — the UPC "relaxed"
+/// access mode, made visible and grep-able at the call site. No `src/`
+/// phase uses it; it stays for the deliberate-violation tests that pin the
+/// opt-out.
 ///
 /// Everything in this header exists only under HIPMER_CHECKED; the
 /// unchecked build compiles none of it (see checked.hpp).

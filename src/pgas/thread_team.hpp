@@ -59,13 +59,6 @@ class Rank {
 
   ThreadTeam& team() noexcept { return *team_; }
 
-  /// Serve already-arrived fabric traffic without blocking. Any spin-wait
-  /// on locally-visible state that a *peer* mutates (claim words, chain
-  /// states) must call this each iteration: on the multiprocess fabric the
-  /// peer's mutation is an RPC that lands only when this rank serves its
-  /// inbox. No-op on the in-process fabric.
-  void progress();
-
   /// Charge one message of `bytes` payload carrying `ops` logical
   /// operations against `owner`'s shard: the initiator's counters are
   /// bumped with the locality-classified message, the owner's with the
@@ -310,7 +303,6 @@ inline const Topology& Rank::topology() const noexcept {
   return team_->topology();
 }
 inline CommStats& Rank::stats() noexcept { return team_->stats(rank_); }
-inline void Rank::progress() { team_->fabric().progress(); }
 inline CommStats& Rank::stats_of(int rank) noexcept {
   return team_->stats(rank);
 }

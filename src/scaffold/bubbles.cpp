@@ -1,9 +1,7 @@
 #include "scaffold/bubbles.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <thread>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -49,33 +47,6 @@ BubbleMerger::BubbleMerger(pgas::ThreadTeam& team, BubbleConfig config,
   jc.flush_threshold = config.flush_threshold;
   junctions_ = std::make_unique<JunctionMap>(team, jc);
   junctions_->set_name("scaffold.junctions");
-  ClaimMap::Config cc;
-  cc.global_capacity = std::max<std::size_t>(1024, expected_contigs);
-  cc.flush_threshold = config.flush_threshold;
-  claims_ = std::make_unique<ClaimMap>(team, cc);
-  claims_->set_name("scaffold.bubble_claims");
-  claim_rmw_ = claims_->register_rmw<ClaimTicket, ClaimCode>(
-      [](VState& v, const ClaimTicket& a) -> ClaimCode {
-        if (v.state == 2) return ClaimCode::kComplete;
-        if (v.state == 1) {
-          if (v.ticket == a.ticket) return ClaimCode::kSelf;
-          return v.ticket < a.ticket ? ClaimCode::kBusyLower
-                                     : ClaimCode::kBusyHigher;
-        }
-        v.state = 1;
-        v.ticket = a.ticket;
-        return ClaimCode::kOk;
-      });
-  release_rmw_ = claims_->register_rmw<ReleaseArgs, std::uint8_t>(
-      [](VState& v, const ReleaseArgs& a) -> std::uint8_t {
-        // Only touch vertices still held by the expected ticket (a spinning
-        // winner may already have re-claimed released ones).
-        if (v.state == 1 && v.ticket == a.ticket) {
-          v.state = a.state;
-          v.ticket = a.new_ticket;
-        }
-        return 0;
-      });
 }
 
 BubbleMerger::~BubbleMerger() = default;
@@ -95,11 +66,8 @@ std::vector<dbg::Contig> BubbleMerger::run(pgas::Rank& rank,
       junctions_->update_buffered(rank, term.junction, group);
       rank.stats().add_work();
     }
-    // Seed the claim map while we are here.
-    claims_->update_buffered(rank, id, VState{});
   });
   junctions_->flush(rank);
-  claims_->flush(rank);
   rank.barrier();
 
   // --- 2. Bubble resolution on local junction buckets. ---
@@ -162,113 +130,65 @@ std::vector<dbg::Contig> BubbleMerger::run(pgas::Rank& rank,
   }
   if (rank.is_root()) bubbles_merged_ = merged_pairs;
 
-  // --- 3. Speculative chain traversal. ---
-  std::vector<std::uint64_t> seeds;
-  store.for_each_local(rank, [&](std::uint64_t id, const dbg::Contig&) {
-    if (!dead.contains(static_cast<std::uint32_t>(id))) seeds.push_back(id);
-  });
-
+  // --- 3. Chain components, built from the replicated edges. ---
+  // Each contig end carries at most one merge edge, so a component is a
+  // path or a ring. A path starts at its smaller end id with that end's
+  // free side leftmost; a ring starts at its smallest id, unreversed. A
+  // component is emitted by the owner of its smallest surviving contig.
   struct ChainLink {
     std::uint32_t contig;
     bool reversed;
   };
-  enum class Claim { kOk, kBusyLower, kBusyHigher, kSelf, kComplete, kDead };
-  std::uint64_t counter = 0;
-  auto next_ticket = [&]() {
-    return ++counter * static_cast<std::uint64_t>(rank.nranks()) +
-           static_cast<std::uint64_t>(rank.id()) + 1;
-  };
-  auto try_claim = [&](std::uint64_t contig, std::uint64_t ticket) -> Claim {
-    auto result =
-        claims_->rmw<ClaimCode>(rank, contig, claim_rmw_, ClaimTicket{ticket});
-    if (!result.has_value()) return Claim::kDead;
-    switch (*result) {
-      case ClaimCode::kBusyLower:
-        return Claim::kBusyLower;
-      case ClaimCode::kBusyHigher:
-        return Claim::kBusyHigher;
-      case ClaimCode::kSelf:
-        return Claim::kSelf;
-      case ClaimCode::kComplete:
-        return Claim::kComplete;
-      case ClaimCode::kOk:
-        break;
-    }
-    return Claim::kOk;
-  };
-  auto release = [&](const std::vector<ChainLink>& chain, std::uint8_t state,
-                     std::uint64_t ticket, std::uint64_t new_ticket) {
-    for (const auto& link : chain) {
-      claims_->rmw<std::uint8_t>(rank, static_cast<std::uint64_t>(link.contig),
-                                 release_rmw_,
-                                 ReleaseArgs{state, ticket, new_ticket});
-    }
-  };
-  // Extend the chain rightward through merge edges. Returns false on
-  // conflict-abort.
-  auto grow_right = [&](std::vector<ChainLink>& chain,
-                        std::uint64_t ticket) -> bool {
-    while (true) {
-      rank.stats().add_work();
-      const ChainLink& tail = chain.back();
-      const auto leading =
-          end_key(tail.contig, static_cast<std::uint8_t>(tail.reversed ? 0 : 1));
-      auto it = edges.find(leading);
-      if (it == edges.end()) return true;
-      const auto [peer_contig, peer_end] = it->second;
-      while (true) {
-        const Claim claim = try_claim(peer_contig, ticket);
-        if (claim == Claim::kOk) break;
-        if (claim == Claim::kBusyHigher) {
-          rank.progress();
-          std::this_thread::yield();
-          continue;
-        }
-        if (claim == Claim::kBusyLower) return false;
-        // kSelf (cycle) / kComplete / kDead: stop cleanly.
-        return true;
-      }
-      chain.push_back(ChainLink{peer_contig, peer_end == 1});
-    }
+  auto has_edge = [&](std::uint32_t contig, std::uint8_t end) {
+    return edges.contains(end_key(contig, end));
   };
 
   std::vector<std::vector<ChainLink>> my_chains;
-  std::deque<std::uint64_t> pending(seeds.begin(), seeds.end());
-  while (!pending.empty()) {
-    const std::uint64_t seed = pending.front();
-    pending.pop_front();
-    const std::uint64_t ticket = next_ticket();
-    const Claim sc = try_claim(seed, ticket);
-    if (sc == Claim::kComplete || sc == Claim::kDead) continue;
-    if (sc != Claim::kOk) {
-      pending.push_back(seed);
-      rank.progress();
-      std::this_thread::yield();
-      continue;
+  std::unordered_set<std::uint32_t> visited;
+  for (const auto& e : all_edges) {
+    if (visited.contains(e.from_contig)) continue;
+    // Collect the component.
+    std::vector<std::uint32_t> members{e.from_contig};
+    visited.insert(e.from_contig);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      for (std::uint8_t end = 0; end < 2; ++end) {
+        const auto it = edges.find(end_key(members[m], end));
+        if (it != edges.end() && visited.insert(it->second.first).second)
+          members.push_back(it->second.first);
+      }
     }
-    std::vector<ChainLink> chain{
-        ChainLink{static_cast<std::uint32_t>(seed), false}};
-    if (!grow_right(chain, ticket)) {
-      release(chain, 0, ticket, 0);
-      pending.push_back(seed);
-      rank.progress();
-      std::this_thread::yield();
-      continue;
+    std::uint32_t first_alive = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t first_end = std::numeric_limits<std::uint32_t>::max();
+    for (const auto m : members) {
+      if (!dead.contains(m)) first_alive = std::min(first_alive, m);
+      if (!has_edge(m, 0) || !has_edge(m, 1))
+        first_end = std::min(first_end, m);
     }
-    // Flip and grow the other way.
-    std::reverse(chain.begin(), chain.end());
-    for (auto& link : chain) link.reversed = !link.reversed;
-    if (!grow_right(chain, ticket)) {
-      release(chain, 0, ticket, 0);
-      pending.push_back(seed);
-      rank.progress();
-      std::this_thread::yield();
+    if (first_alive == std::numeric_limits<std::uint32_t>::max() ||
+        store.owner_of(first_alive) != rank.id())
       continue;
+    const bool ring = first_end == std::numeric_limits<std::uint32_t>::max();
+    const std::uint32_t head =
+        ring ? *std::min_element(members.begin(), members.end()) : first_end;
+    std::vector<ChainLink> chain{ChainLink{head, !ring && has_edge(head, 0)}};
+    // Extend rightward through merge edges to a free end, or back to the
+    // head of a ring.
+    while (true) {
+      rank.stats().add_work();
+      const ChainLink& tail = chain.back();
+      const auto it = edges.find(end_key(
+          tail.contig, static_cast<std::uint8_t>(tail.reversed ? 0 : 1)));
+      if (it == edges.end() || it->second.first == head) break;
+      chain.push_back(ChainLink{it->second.first, it->second.second == 1});
     }
-    release(chain, 2, ticket, ticket);
     my_chains.push_back(std::move(chain));
   }
-  rank.barrier();
+  // Surviving contigs without merge edges pass through as one-link chains.
+  store.for_each_local(rank, [&](std::uint64_t id, const dbg::Contig&) {
+    const auto contig = static_cast<std::uint32_t>(id);
+    if (!dead.contains(contig) && !visited.contains(contig))
+      my_chains.push_back({ChainLink{contig, false}});
+  });
 
   // --- 4. Compress chains to sequences. ---
   std::vector<dbg::Contig> merged;
@@ -319,9 +239,9 @@ std::vector<dbg::Contig> BubbleMerger::run(pgas::Rank& rank,
   }
 
   // Deterministic dense ids (same scheme as the traversal's renumbering):
-  // redistribute by sequence hash, sort, exclusive-scan. Which rank
-  // completed which chain is schedule-dependent, and downstream tie-breaks
-  // key on ids.
+  // redistribute by sequence hash, sort, exclusive-scan. Which rank emits
+  // which chain depends on the rank count, and downstream tie-breaks key on
+  // ids.
   {
     std::vector<std::vector<std::byte>> outgoing(
         static_cast<std::size_t>(rank.nranks()));

@@ -26,12 +26,11 @@
 ///      fork-terminated flank end and two neighbor-terminated path ends —
 ///      by keeping the deeper path (deterministic tie-break by id) and
 ///      recording a merge edge flank↔winner;
-///   3. traverses the resulting chains *speculatively*: ranks seed
-///      traversals from local contigs and claim chain vertices with
-///      tickets, aborting on conflict exactly like the de Bruijn traversal
-///      ("the processors pick random seeds ... if multiple processors work
-///      on the same path, they abort their traversals and allow a single
-///      processor to complete them");
+///   3. replicates the (tiny) merge-edge list and dead set, so every rank
+///      builds the chain components locally in O(edges): each contig end
+///      carries at most one merge edge, so a component is a path or a ring.
+///      A component with a surviving contig is emitted by the owner of its
+///      smallest surviving contig id;
 ///   4. compresses each chain to a single DNA sequence (contigs overlap by
 ///      k-1 at junctions), which downstream modules treat as contigs.
 namespace hipmer::scaffold {
@@ -86,38 +85,9 @@ class BubbleMerger {
   }
 
  private:
-  struct VState {
-    std::uint8_t state = 0;  // 0 unused, 1 active, 2 complete
-    std::uint64_t ticket = 0;
-  };
-  using ClaimMap =
-      pgas::DistHashMap<std::uint64_t, VState, std::hash<std::uint64_t>,
-                        pgas::OverwriteMerge<VState>>;
-
-  /// Verdict of the registered claim RMW (registered operations ship to
-  /// the owner on multi-process fabrics, so the outcome travels as a POD).
-  enum class ClaimCode : std::uint8_t {
-    kOk,
-    kBusyLower,
-    kBusyHigher,
-    kSelf,
-    kComplete,
-  };
-  struct ClaimTicket {
-    std::uint64_t ticket = 0;
-  };
-  struct ReleaseArgs {
-    std::uint8_t state = 0;
-    std::uint64_t ticket = 0;
-    std::uint64_t new_ticket = 0;
-  };
-
   pgas::ThreadTeam& team_;
   BubbleConfig config_;
   std::unique_ptr<JunctionMap> junctions_;
-  std::unique_ptr<ClaimMap> claims_;
-  ClaimMap::RmwId claim_rmw_ = 0;
-  ClaimMap::RmwId release_rmw_ = 0;
   std::uint64_t bubbles_merged_ = 0;
 };
 

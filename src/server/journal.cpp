@@ -154,11 +154,10 @@ std::vector<std::byte> encode_journal_record(const JournalEvent& event) {
   const auto payload = encode_journal_event(event);
   std::vector<std::byte> buf;
   io::wire::Writer w(buf);
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = util::crc32c(payload.data(), payload.size());
-  io::wire::Writer tail(buf);
-  tail.put_u32(crc);
+  // [u32 length][payload] is exactly put_bytes' framing.
+  w.put_bytes(std::string_view(reinterpret_cast<const char*>(payload.data()),
+                               payload.size()));
+  w.put_u32(util::crc32c(payload.data(), payload.size()));
   return buf;
 }
 

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "dbg/contig_generator.hpp"
+#include "dbg/contig_wire.hpp"
 #include "dbg/oracle.hpp"
 #include "kcount/kmer_analysis.hpp"
 #include "seq/dna.hpp"
 #include "seq/kmer_scanner.hpp"
+#include "sim/datasets.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 
@@ -203,25 +207,210 @@ TEST(ContigGen, DepthTracksCoverage) {
   EXPECT_LT(max_depth, 12.0);
 }
 
+/// The de Bruijn graph of `molecules` (circular ones wrap around) as UFX
+/// records: each k-mer's canonical-frame extension is its unique neighbor
+/// base, 'F' when the molecules disagree, 'X' when none.
+std::vector<std::pair<KmerT, kcount::KmerSummary>> graph_of(
+    const std::vector<std::pair<std::string, bool>>& molecules, int k) {
+  std::map<KmerT, std::array<std::set<char>, 2>> exts;
+  std::map<KmerT, std::uint32_t> depth;
+  const auto kk = static_cast<std::size_t>(k);
+  for (const auto& [mol, circular] : molecules) {
+    const std::string s = circular ? mol + mol.substr(0, kk) : mol;
+    const std::size_t n = circular ? mol.size() : mol.size() - kk + 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      const KmerT km = KmerT::from_string(std::string_view(s).substr(i, kk));
+      char left = seq::kExtNone;
+      char right = seq::kExtNone;
+      if (i > 0) left = s[i - 1];
+      else if (circular) left = mol.back();
+      if (i + kk < s.size()) right = s[i + kk];
+      const bool canonical = km.is_canonical();
+      const KmerT canon = km.canonical();
+      auto& sides = exts[canon];
+      auto comp = [](char c) {
+        return seq::is_base_ext(c) ? seq::complement_base(c) : c;
+      };
+      const char cl = canonical ? left : comp(right);
+      const char cr = canonical ? right : comp(left);
+      if (seq::is_base_ext(cl)) sides[0].insert(cl);
+      if (seq::is_base_ext(cr)) sides[1].insert(cr);
+      depth[canon] += 10;
+    }
+  }
+  auto code = [](const std::set<char>& bases) {
+    if (bases.empty()) return seq::kExtNone;
+    return bases.size() == 1 ? *bases.begin() : seq::kExtFork;
+  };
+  std::vector<std::pair<KmerT, kcount::KmerSummary>> ufx;
+  for (const auto& [canon, sides] : exts) {
+    kcount::KmerSummary summary;
+    summary.depth = depth[canon];
+    summary.left_ext = code(sides[0]);
+    summary.right_ext = code(sides[1]);
+    ufx.emplace_back(canon, summary);
+  }
+  return ufx;
+}
+
+/// Contig generation over a hand-built graph, dealt round-robin to ranks.
+std::vector<Contig> traverse_graph(
+    const std::vector<std::pair<KmerT, kcount::KmerSummary>>& ufx, int k,
+    int nranks) {
+  pgas::ThreadTeam team(pgas::Topology{nranks, 2});
+  ContigGenConfig cc;
+  cc.k = k;
+  ContigGenerator gen(team, cc, ufx.size());
+  team.run([&](pgas::Rank& rank) {
+    std::vector<std::pair<KmerT, kcount::KmerSummary>> mine;
+    for (std::size_t i = static_cast<std::size_t>(rank.id()); i < ufx.size();
+         i += static_cast<std::size_t>(rank.nranks()))
+      mine.push_back(ufx[i]);
+    gen.build_graph(rank, mine);
+    gen.traverse(rank);
+  });
+  return gen.all_contigs();
+}
+
 TEST(ContigGen, CircularChainTerminates) {
-  // A circular sequence: tile reads around the wrap point too. The
-  // traversal must terminate via the cycle detection ('O') rather than
-  // loop forever.
+  // One graph holding a pure cycle, a linear chain, a chain closed by a
+  // reverse-complement hairpin at one end (x + rc(x)), and one closed by
+  // hairpins at both ends (y + rc(y) + y). The cycle and the double hairpin
+  // have no chain end, so only the cycle sweep can emit them.
+  const int k = 21;
   std::mt19937_64 rng(127);
   const auto circle = sim::random_dna(500, rng);
-  const std::string doubled = circle + circle;
-  std::vector<seq::Read> reads;
-  for (std::size_t i = 0; i < circle.size(); i += 7) {
-    seq::Read r;
-    r.name = "c:" + std::to_string(i) + "/0";
-    r.seq = doubled.substr(i, 60);
-    r.quals.assign(60, 'I');
-    reads.push_back(std::move(r));
+  const auto linear = sim::random_dna(300, rng);
+  const auto x = sim::random_dna(200, rng);
+  const auto y = sim::random_dna(150, rng);
+  const auto ufx = graph_of({{circle, true},
+                             {linear, false},
+                             {x + seq::revcomp(x), false},
+                             {y + seq::revcomp(y) + y, false}},
+                            k);
+
+  std::vector<Contig> reference;
+  for (const int nranks : {1, 3, 8}) {
+    const auto contigs = traverse_graph(ufx, k, nranks);
+    if (reference.empty()) {
+      reference = contigs;
+      continue;
+    }
+    ASSERT_EQ(contigs.size(), reference.size()) << "nranks=" << nranks;
+    for (std::size_t i = 0; i < contigs.size(); ++i) {
+      EXPECT_EQ(contigs[i].seq, reference[i].seq) << "nranks=" << nranks;
+      EXPECT_EQ(contigs[i].left.code, reference[i].left.code);
+      EXPECT_EQ(contigs[i].right.code, reference[i].right.code);
+      EXPECT_EQ(contigs[i].avg_depth, reference[i].avg_depth);
+    }
   }
-  const auto contigs = assemble_contigs(reads, 21, 2);
-  ASSERT_EQ(contigs.size(), 1u);
-  EXPECT_GE(contigs[0].seq.size(), circle.size());
-  EXPECT_TRUE(contigs[0].left.code == 'O' || contigs[0].right.code == 'O');
+
+  // Exact cover: every graph k-mer lies in exactly one contig.
+  std::map<KmerT, int> seen;
+  for (const auto& c : reference)
+    for (seq::KmerScanner<KmerT::kMaxK> it(c.seq, k); !it.done(); it.next())
+      ++seen[it.canonical()];
+  ASSERT_EQ(seen.size(), ufx.size());
+  for (const auto& [km, n] : seen) EXPECT_EQ(n, 1);
+
+  ASSERT_EQ(reference.size(), 4u);
+  auto contig_of = [&](const std::string& part) -> const Contig& {
+    for (const auto& c : reference)
+      if (c.seq.find(part) != std::string::npos ||
+          c.seq.find(seq::revcomp(part)) != std::string::npos)
+        return c;
+    ADD_FAILURE() << "no contig holds " << part;
+    return reference.front();
+  };
+  // The cycle: emitted once, each k-mer once, rotated to start at its
+  // smallest canonical k-mer (then stored in canonical orientation).
+  const auto& cyc = contig_of(circle.substr(100, 100));
+  EXPECT_EQ(cyc.seq.size(), circle.size() + static_cast<std::size_t>(k) - 1);
+  EXPECT_EQ(cyc.left.code, 'O');
+  EXPECT_EQ(cyc.right.code, 'O');
+  KmerT smallest;
+  for (seq::KmerScanner<KmerT::kMaxK> it(circle + circle.substr(0, k - 1), k);
+       !it.done(); it.next())
+    if (it.position() == 0 || it.canonical() < smallest)
+      smallest = it.canonical();
+  const auto kk = static_cast<std::size_t>(k);
+  const KmerT head = KmerT::from_string(cyc.seq.substr(0, kk));
+  const KmerT tail = KmerT::from_string(cyc.seq.substr(cyc.seq.size() - kk));
+  EXPECT_TRUE(head == smallest || tail.revcomp() == smallest);
+
+  const auto& lin = contig_of(linear);
+  EXPECT_EQ(lin.seq.size(), linear.size());
+  EXPECT_EQ(lin.left.code, 'X');
+  EXPECT_EQ(lin.right.code, 'X');
+
+  // x + rc(x) folds onto itself at its center: the chain ends at the read
+  // end on one side and re-enters itself on the other.
+  const auto& hairpin = contig_of(x);
+  EXPECT_EQ(hairpin.seq.size(), x.size() + (kk - 1) / 2);
+  EXPECT_EQ(std::min(hairpin.left.code, hairpin.right.code), 'O');
+  EXPECT_EQ(std::max(hairpin.left.code, hairpin.right.code), 'X');
+
+  const auto& folded = contig_of(y.substr(20, 100));
+  EXPECT_EQ(folded.left.code, 'O');
+  EXPECT_EQ(folded.right.code, 'O');
+}
+
+TEST(ContigGen, CountersRepeatExactly) {
+  // The traversal is a pure function of the graph and the partition, so
+  // every rank's counters, its Table-2 lookups and the contigs repeat
+  // exactly, even with 16 ranks sharing the host's cores.
+  const auto ds = sim::make_human_like(30000, 6001, 15.0);
+  const int k = 31;
+  pgas::ThreadTeam team(pgas::Topology{16, 4});
+  kcount::KmerAnalysisConfig kc;
+  kc.k = k;
+  kcount::KmerAnalysis ka(team, kc);
+  team.run([&](pgas::Rank& rank) {
+    seq::ReadStore mine;
+    const auto& reads = ds.reads[0];
+    for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
+         i += static_cast<std::size_t>(rank.nranks()))
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
+  });
+  std::size_t total_ufx = 0;
+  for (int r = 0; r < team.nranks(); ++r) total_ufx += ka.ufx(r).size();
+
+  struct Run {
+    std::vector<std::string> counters;
+    std::vector<std::uint64_t> lookups;
+    std::vector<std::vector<std::byte>> contigs;
+  };
+  std::optional<Run> first;
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    ContigGenConfig cc;
+    cc.k = k;
+    ContigGenerator gen(team, cc, total_ufx);
+    const auto before = team.snapshot_all();
+    team.run([&](pgas::Rank& rank) {
+      gen.build_graph(rank, ka.ufx(rank.id()));
+      gen.traverse(rank);
+    });
+    const auto after = team.snapshot_all();
+    Run run;
+    for (int r = 0; r < team.nranks(); ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      run.counters.push_back((after[ur] - before[ur]).to_string());
+      const auto ls = gen.lookup_stats(r);
+      run.lookups.insert(run.lookups.end(), {ls.local, ls.onnode, ls.offnode});
+      std::vector<std::byte> bytes;
+      for (const auto& c : gen.contigs(r)) serialize_contig(bytes, c);
+      run.contigs.push_back(std::move(bytes));
+    }
+    if (!first) {
+      ASSERT_GT(gen.total_lookup_stats().offnode, 0u);
+      first = std::move(run);
+      continue;
+    }
+    EXPECT_EQ(run.counters, first->counters) << "repeat " << repeat;
+    EXPECT_EQ(run.lookups, first->lookups) << "repeat " << repeat;
+    EXPECT_EQ(run.contigs, first->contigs) << "repeat " << repeat;
+  }
 }
 
 // ---- Oracle partitioning ----

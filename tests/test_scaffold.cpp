@@ -7,6 +7,7 @@
 
 #include "align/contig_store.hpp"
 #include "align/mer_aligner.hpp"
+#include "dbg/contig_wire.hpp"
 #include "scaffold/bubbles.hpp"
 #include "scaffold/depths.hpp"
 #include "scaffold/gap_closing.hpp"
@@ -618,6 +619,210 @@ TEST(Bubbles, PassThroughWithoutJunctions) {
   std::sort(seqs.begin(), seqs.end());
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(seqs, expect);
+}
+
+// ---- bubble chain components ----
+
+constexpr int kBubbleK = 21;
+
+dbg::TermInfo term_at(char code, const std::string& kmer) {
+  dbg::TermInfo term;
+  term.code = code;
+  if (!kmer.empty()) {
+    term.junction = seq::KmerT::from_string(kmer).canonical();
+    term.has_junction = true;
+  }
+  return term;
+}
+
+dbg::Contig contig_of(std::uint64_t id, std::string s, double depth,
+                      dbg::TermInfo left, dbg::TermInfo right) {
+  dbg::Contig c;
+  c.id = id;
+  c.seq = std::move(s);
+  c.avg_depth = depth;
+  c.left = std::move(left);
+  c.right = std::move(right);
+  return c;
+}
+
+std::string canonical_seq(const std::string& s) {
+  return std::min(s, seq::revcomp(s));
+}
+
+/// `bubbles` consecutive diploid bubbles between fork-ended flanks, as the
+/// de Bruijn traversal leaves them: each path overlaps its flanks by k-1
+/// and records the flanks' fork k-mers as 'N' junctions; the deeper path
+/// (U) wins, the other (V, one SNP away) dies. With `ring`, the last bubble
+/// leads back into the first flank. Appends the contigs (ids from
+/// `contigs.size()`) and returns the merged sequence, canonical.
+std::string add_bubble_run(std::vector<dbg::Contig>& contigs, int bubbles,
+                           bool ring, std::mt19937_64& rng) {
+  const auto k = static_cast<std::size_t>(kBubbleK);
+  const int nflanks = ring ? bubbles : bubbles + 1;
+  std::vector<std::string> flanks;
+  for (int i = 0; i < nflanks; ++i)
+    flanks.push_back(
+        sim::random_dna(150 + 10 * static_cast<std::size_t>(i), rng));
+  auto first_kmer = [&](int f) {
+    return flanks[static_cast<std::size_t>(f)].substr(0, k);
+  };
+  auto last_kmer = [&](int f) {
+    const auto& s = flanks[static_cast<std::size_t>(f)];
+    return s.substr(s.size() - k);
+  };
+  for (int i = 0; i < nflanks; ++i) {
+    const bool open_left = !ring && i == 0;
+    const bool open_right = !ring && i == nflanks - 1;
+    contigs.push_back(contig_of(
+        contigs.size(), flanks[static_cast<std::size_t>(i)], 20,
+        open_left ? term_at('X', "") : term_at('F', first_kmer(i)),
+        open_right ? term_at('X', "") : term_at('F', last_kmer(i))));
+  }
+  std::string merged = flanks[0];
+  for (int b = 0; b < bubbles; ++b) {
+    const int next = (b + 1) % nflanks;
+    const auto mid = sim::random_dna(2 * k, rng);
+    auto snp = mid;
+    snp[k] = seq::complement_base(snp[k]);
+    const auto head = last_kmer(b).substr(1);
+    const auto tail = first_kmer(next).substr(0, k - 1);
+    contigs.push_back(contig_of(contigs.size(), head + mid + tail, 12,
+                                term_at('N', last_kmer(b)),
+                                term_at('N', first_kmer(next))));
+    contigs.push_back(contig_of(contigs.size(), head + snp + tail, 8,
+                                term_at('N', last_kmer(b)),
+                                term_at('N', first_kmer(next))));
+    merged += mid;
+    merged += ring && next == 0 ? tail
+                                : flanks[static_cast<std::size_t>(next)];
+  }
+  return canonical_seq(merged);
+}
+
+struct MergeRun {
+  std::vector<dbg::Contig> merged;  // by id
+  std::vector<pgas::CommStatsSnapshot> counters;  // per rank, run() only
+  std::uint64_t bubbles = 0;
+};
+
+MergeRun merge_bubbles(const std::vector<dbg::Contig>& contigs, int nranks,
+                       int per_node = 2) {
+  pgas::ThreadTeam team(pgas::Topology{nranks, per_node});
+  align::ContigStore store(team);
+  BubbleConfig cfg;
+  cfg.k = kBubbleK;
+  BubbleMerger merger(team, cfg, contigs.size());
+  team.run([&](pgas::Rank& rank) {
+    store.build(rank, rank.is_root() ? contigs : std::vector<dbg::Contig>{});
+  });
+  std::vector<std::vector<dbg::Contig>> merged(
+      static_cast<std::size_t>(nranks));
+  const auto before = team.snapshot_all();
+  team.run([&](pgas::Rank& rank) {
+    merged[static_cast<std::size_t>(rank.id())] = merger.run(rank, store);
+  });
+  const auto after = team.snapshot_all();
+  MergeRun run;
+  for (std::size_t r = 0; r < after.size(); ++r)
+    run.counters.push_back(after[r] - before[r]);
+  for (const auto& m : merged)
+    run.merged.insert(run.merged.end(), m.begin(), m.end());
+  std::sort(run.merged.begin(), run.merged.end(),
+            [](const dbg::Contig& a, const dbg::Contig& b) {
+              return a.id < b.id;
+            });
+  run.bubbles = merger.bubbles_merged();
+  return run;
+}
+
+std::vector<std::byte> bytes_of(const std::vector<dbg::Contig>& contigs) {
+  std::vector<std::byte> bytes;
+  for (const auto& c : contigs) dbg::serialize_contig(bytes, c);
+  return bytes;
+}
+
+/// Merge at 1, 2, 4 and 7 ranks; every rank count must give byte-identical
+/// records. Returns the canonical merged sequences.
+std::vector<std::string> merge_everywhere(
+    const std::vector<dbg::Contig>& contigs) {
+  const auto reference = merge_bubbles(contigs, 1);
+  for (const int nranks : {2, 4, 7}) {
+    EXPECT_EQ(bytes_of(merge_bubbles(contigs, nranks).merged),
+              bytes_of(reference.merged))
+        << "nranks=" << nranks;
+  }
+  std::vector<std::string> seqs;
+  for (const auto& c : reference.merged) seqs.push_back(c.seq);
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+TEST(Bubbles, ConsecutiveBubblesMergeIntoOnePath) {
+  std::mt19937_64 rng(953);
+  std::vector<dbg::Contig> contigs;
+  const auto expect = add_bubble_run(contigs, 3, /*ring=*/false, rng);
+  ASSERT_EQ(contigs.size(), 10u);
+  EXPECT_EQ(merge_everywhere(contigs), std::vector<std::string>{expect});
+}
+
+TEST(Bubbles, RingOfBubblesMergesOnceFromItsSmallestId) {
+  std::mt19937_64 rng(967);
+  std::vector<dbg::Contig> contigs;
+  const auto expect = add_bubble_run(contigs, 3, /*ring=*/true, rng);
+  ASSERT_EQ(contigs.size(), 9u);
+  EXPECT_EQ(merge_everywhere(contigs), std::vector<std::string>{expect});
+}
+
+TEST(Bubbles, ComponentOfDeadContigsIsDropped) {
+  // A loses bubble g1 and B loses g3, but B beats C in g2, whose flank is
+  // A: the merge edge A-B joins two dead contigs, and that component must
+  // vanish along with C. P-W1 and W3-Q merge as usual.
+  const auto k = static_cast<std::size_t>(kBubbleK);
+  std::mt19937_64 rng(971);
+  const auto P = sim::random_dna(200, rng);
+  const auto Q = sim::random_dna(210, rng);
+  const auto j1 = P.substr(P.size() - k);
+  const auto j2 = sim::random_dna(k, rng);
+  const auto j3 = Q.substr(0, k);
+  const auto W1 = P.substr(P.size() - (k - 1)) + sim::random_dna(150, rng);
+  const auto W3 = sim::random_dna(150, rng) + Q.substr(0, k - 1);
+  const auto A = sim::random_dna(160, rng);
+  const auto B = sim::random_dna(155, rng);
+  const auto C = sim::random_dna(150, rng);
+  const std::vector<dbg::Contig> contigs{
+      contig_of(0, P, 20, term_at('X', ""), term_at('F', j1)),
+      contig_of(1, W1, 12, term_at('N', j1), term_at('X', "")),
+      contig_of(2, A, 8, term_at('N', j1), term_at('F', j2)),
+      contig_of(3, B, 8, term_at('N', j2), term_at('N', j3)),
+      contig_of(4, C, 5, term_at('N', j2), term_at('X', "")),
+      contig_of(5, W3, 12, term_at('X', ""), term_at('N', j3)),
+      contig_of(6, Q, 20, term_at('F', j3), term_at('X', "")),
+  };
+  std::vector<std::string> expect{canonical_seq(P + W1.substr(k - 1)),
+                                   canonical_seq(W3 + Q.substr(k - 1))};
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(merge_everywhere(contigs), expect);
+  EXPECT_EQ(merge_bubbles(contigs, 2).bubbles, 3u);
+}
+
+TEST(Bubbles, CountersRepeatExactly) {
+  // Chain components come from the replicated edge list, so every rank's
+  // counters and the merged records repeat exactly at 16 ranks.
+  std::mt19937_64 rng(977);
+  std::vector<dbg::Contig> contigs;
+  for (int i = 0; i < 30; ++i)
+    add_bubble_run(contigs, 1 + i % 4, /*ring=*/i % 5 == 4, rng);
+  const auto first = merge_bubbles(contigs, 16, 4);
+  ASSERT_GT(first.bubbles, 0u);
+  for (int repeat = 1; repeat < 10; ++repeat) {
+    const auto run = merge_bubbles(contigs, 16, 4);
+    EXPECT_EQ(bytes_of(run.merged), bytes_of(first.merged))
+        << "repeat " << repeat;
+    for (std::size_t r = 0; r < run.counters.size(); ++r)
+      EXPECT_EQ(run.counters[r].to_string(), first.counters[r].to_string())
+          << "repeat " << repeat << " rank " << r;
+  }
 }
 
 }  // namespace

@@ -91,8 +91,9 @@ TEST(ShuffleExchange, ReusableAcrossPhases) {
   team.run([&](pgas::Rank& rank) {
     const int me = rank.id();
     for (int phase = 0; phase < 3; ++phase) {
-      exchange.send(rank, (me + 1) % p,
-                    bytes_of("p" + std::to_string(phase)));
+      std::string tag = "p";
+      tag += std::to_string(phase);
+      exchange.send(rank, (me + 1) % p, bytes_of(tag));
       auto records = exchange.collect(rank);
       for (const auto& r : records)
         got[static_cast<std::size_t>(me)].push_back(string_of(r));
