@@ -107,7 +107,7 @@ ProbeResult probe_lookups(pgas::ThreadTeam& team, dbg::ContigGenerator& gen,
     auto& graph = gen.graph();
     if (path == LookupPath::kBatchedCached)
       graph.enable_read_cache(rank, 1 << 15);
-    auto sink = [](const seq::KmerT&, const dbg::ContigGenerator::Node*,
+    auto sink = [](const seq::KmerT&, const kcount::KmerSummary*,
                    std::uint64_t) {};
     for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
          i += static_cast<std::size_t>(rank.nranks())) {

@@ -11,6 +11,11 @@ namespace hipmer::align {
 
 using seq::KmerT;
 
+/// Per-rank software read-cache capacity for seed lookups (entries). Reads
+/// cover the genome many times over, so the same seed k-mers recur;
+/// caching them turns repeat off-node lookups into local hits.
+constexpr std::size_t kReadCacheCapacity = 1 << 15;
+
 MerAligner::MerAligner(pgas::ThreadTeam& team, AlignerConfig config,
                        std::size_t expected_seed_kmers)
     : team_(team), config_(config) {
@@ -164,7 +169,7 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
 
   // Alignment only reads the seed index, so the whole phase runs under the
   // software read cache; it is torn down before the closing barrier.
-  index_->enable_read_cache(rank, config_.read_cache_capacity);
+  index_->enable_read_cache(rank, kReadCacheCapacity);
 
   std::vector<SeedSlot> slots;
   std::vector<std::size_t> slot_begin;  // per chunk read: first slot index

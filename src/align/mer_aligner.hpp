@@ -53,10 +53,6 @@ struct AlignerConfig {
   std::size_t flush_threshold = 512;
   /// Reads seeded per batched-lookup round in align_reads.
   std::size_t lookup_chunk = 256;
-  /// Per-rank software read-cache capacity for seed lookups (entries).
-  /// Reads cover the genome many times over, so the same seed k-mers
-  /// recur; caching them turns repeat off-node lookups into local hits.
-  std::size_t read_cache_capacity = 1 << 15;
   Scoring scoring;
 };
 

@@ -94,8 +94,6 @@ ContigGenerator::ContigGenerator(pgas::ThreadTeam& team, ContigGenConfig config,
   mc.flush_threshold = config_.flush_threshold;
   map_ = std::make_unique<Map>(team, mc);
   map_->set_name("dbg.graph");
-  read_summary_rmw_ = map_->register_rmw<std::uint8_t, kcount::KmerSummary>(
-      [](Node& node, const std::uint8_t&) { return node.summary; });
 }
 
 ContigGenerator::~ContigGenerator() = default;
@@ -112,9 +110,7 @@ void ContigGenerator::build_graph(
     pgas::Rank& rank,
     const std::vector<std::pair<KmerT, kcount::KmerSummary>>& local_ufx) {
   for (const auto& [kmer, summary] : local_ufx) {
-    Node node;
-    node.summary = summary;
-    map_->update_buffered(rank, kmer, node);
+    map_->update_buffered(rank, kmer, summary);
     rank.stats().add_work();
   }
   map_->flush(rank);
@@ -156,8 +152,7 @@ ContigGenerator::WalkEnd ContigGenerator::walk(pgas::Rank& rank,
     const KmerT next_canon = next.canonical();
     count_lookup(rank, next_canon);
     rank.stats().add_work();
-    const auto next_summary = map_->rmw<kcount::KmerSummary>(
-        rank, next_canon, read_summary_rmw_, std::uint8_t{0});
+    const auto next_summary = map_->find(rank, next_canon);
     const char code = side_code(cur, next, next_canon,
                                 next_summary ? &*next_summary : nullptr);
     if (code != kLink) {
@@ -188,7 +183,8 @@ ContigGenerator::WalkEnd ContigGenerator::walk(pgas::Rank& rank,
 }
 
 void ContigGenerator::sweep_cycles(
-    pgas::Rank& rank, const std::vector<std::pair<KmerT, Node>>& local) {
+    pgas::Rank& rank,
+    const std::vector<std::pair<KmerT, kcount::KmerSummary>>& local) {
   auto& my_contigs = contigs_[static_cast<std::size_t>(rank.id())];
   // Mark every k-mer the emitted chains cover at its owner.
   std::vector<std::vector<KmerT>> covered(
@@ -204,21 +200,19 @@ void ContigGenerator::sweep_cycles(
   // Every uncovered local k-mer lies on a chain without ends. Walk it from
   // each such k-mer, giving up at any smaller k-mer, so only the walk from
   // the chain's smallest k-mer completes.
-  for (const auto& [kmer, node] : local) {
+  for (const auto& [kmer, summary] : local) {
     if (std::binary_search(seen.begin(), seen.end(), kmer)) continue;
     std::string chain = kmer.to_string();
-    double depth_sum = node.summary.depth;
+    double depth_sum = summary.depth;
     std::size_t kmers = 1;
-    const WalkEnd ahead =
-        walk(rank, chain, node.summary, depth_sum, kmers, &kmer);
+    const WalkEnd ahead = walk(rank, chain, summary, depth_sum, kmers, &kmer);
     if (ahead.below_bound) continue;
     // A cycle closes on its start; a hairpin-closed chain still extends
     // back from the start.
     TermInfo behind = ahead.term;
     if (!ahead.closed) {
       chain = seq::revcomp(chain);
-      const WalkEnd back =
-          walk(rank, chain, node.summary, depth_sum, kmers, &kmer);
+      const WalkEnd back = walk(rank, chain, summary, depth_sum, kmers, &kmer);
       if (back.below_bound) continue;
       behind = back.term;
     }
@@ -236,25 +230,25 @@ void ContigGenerator::traverse(pgas::Rank& rank) {
   // 1. Classify every side of every local k-mer. Side 1 is the k-mer's
   // right side; side 0, its left, is the right side of its reverse
   // complement, so both sides read the same way.
-  std::vector<std::pair<KmerT, Node>> local;
+  std::vector<std::pair<KmerT, kcount::KmerSummary>> local;
   local.reserve(map_->local_size(rank.id()));
-  map_->for_each_local(rank, [&](const KmerT& km, Node& node) {
-    local.emplace_back(km, node);
+  map_->for_each_local(rank, [&](const KmerT& km, kcount::KmerSummary& s) {
+    local.emplace_back(km, s);
   });
   auto frame = [&](std::size_t i, int side) {
     return side == 1 ? local[i].first : local[i].first.revcomp();
   };
   auto right_ext = [&](std::size_t i, int side) {
-    return ext_in(side == 1, local[i].second.summary).right;
+    return ext_in(side == 1, local[i].second).right;
   };
   std::vector<std::array<char, 2>> sides(local.size());
-  auto classify = [&](const KmerT& key, const Node* node, std::uint64_t tag) {
+  auto classify = [&](const KmerT& key, const kcount::KmerSummary* summary,
+                      std::uint64_t tag) {
     const std::size_t i = tag >> 1;
     const int side = static_cast<int>(tag & 1);
     const KmerT x = frame(i, side);
     sides[i][static_cast<std::size_t>(side)] =
-        side_code(x, right_neighbor(x, right_ext(i, side)), key,
-                  node != nullptr ? &node->summary : nullptr);
+        side_code(x, right_neighbor(x, right_ext(i, side)), key, summary);
   };
   for (std::size_t i = 0; i < local.size(); ++i) {
     for (int side = 0; side < 2; ++side) {
@@ -269,8 +263,8 @@ void ContigGenerator::traverse(pgas::Rank& rank) {
     }
   }
   map_->process_lookups(rank, classify);
-  // The walks read through the registered-RMW path, which the phase rules
-  // count as stores: close the lookup phase first.
+  // The walks read through fine-grained find(): close the batched lookup
+  // epoch first, since one epoch may not mix the two lookup paths.
   rank.barrier();
 
   auto side_term = [&](std::size_t i, int side) {
@@ -304,7 +298,7 @@ void ContigGenerator::traverse(pgas::Rank& rank) {
     if (!left_link && !right_link) {
       my_contigs.push_back(make_contig(local[i].first.to_string(),
                                        side_term(i, 0), side_term(i, 1),
-                                       local[i].second.summary.depth, 1));
+                                       local[i].second.depth, 1));
       ++emitted_kmers;
       continue;
     }
@@ -323,12 +317,12 @@ void ContigGenerator::traverse(pgas::Rank& rank) {
     std::vector<std::vector<KmerT>> marks(
         static_cast<std::size_t>(rank.nranks()));
     for (const auto& end : rounds[round]) {
-      const auto& [kmer, node] = local[end.i];
+      const auto& [kmer, summary] = local[end.i];
       if (std::binary_search(done.begin(), done.end(), kmer)) continue;
       std::string chain = frame(end.i, end.inward).to_string();
-      double depth_sum = node.summary.depth;
+      double depth_sum = summary.depth;
       std::size_t kmers = 1;
-      const WalkEnd far = walk(rank, chain, node.summary, depth_sum, kmers);
+      const WalkEnd far = walk(rank, chain, summary, depth_sum, kmers);
       bool emit = far.term.code == 'O';
       if (!emit) {
         // A far end in an earlier round would have marked this one done.

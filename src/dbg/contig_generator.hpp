@@ -55,13 +55,10 @@ struct ContigGenConfig {
 
 class ContigGenerator {
  public:
-  /// Graph vertex: the k-mer's UFX summary (count + extension codes).
-  struct Node {
-    kcount::KmerSummary summary;
-  };
-  using Map =
-      pgas::DistHashMap<seq::KmerT, Node, seq::KmerHashT,
-                        pgas::OverwriteMerge<Node>>;
+  /// Graph vertices: each k-mer's UFX summary (count + extension codes).
+  using Map = pgas::DistHashMap<seq::KmerT, kcount::KmerSummary,
+                                seq::KmerHashT,
+                                pgas::OverwriteMerge<kcount::KmerSummary>>;
 
   /// `expected_kmers` sizes the table (from k-mer analysis's cardinality /
   /// UFX counts).
@@ -156,13 +153,13 @@ class ContigGenerator {
 
   /// Walk every chain that has no end (pure cycles, hairpin-closed chains)
   /// once: collective, run only when emitted contigs miss graph k-mers.
-  void sweep_cycles(pgas::Rank& rank,
-                    const std::vector<std::pair<seq::KmerT, Node>>& local);
+  void sweep_cycles(
+      pgas::Rank& rank,
+      const std::vector<std::pair<seq::KmerT, kcount::KmerSummary>>& local);
 
   pgas::ThreadTeam& team_;
   ContigGenConfig config_;
   std::unique_ptr<Map> map_;
-  Map::RmwId read_summary_rmw_ = 0;
   const OraclePartition* oracle_ = nullptr;
   std::vector<std::vector<Contig>> contigs_;
   std::vector<LookupStats> lookups_;

@@ -16,7 +16,6 @@ KmerAnalysis::KmerAnalysis(pgas::ThreadTeam& team, KmerAnalysisConfig config)
   ufx_.resize(p);
   distinct_per_rank_.assign(p, 0);
   instances_per_rank_.assign(p, 0);
-  histogram_per_rank_.assign(p, std::vector<std::uint64_t>(256, 0));
   blooms_.resize(p);
 }
 
@@ -324,13 +323,14 @@ void KmerAnalysis::counting_pass(
 }
 
 void KmerAnalysis::finalize(pgas::Rank& rank) {
-  if (team_.multiprocess()) {
-    // Shards live in separate address spaces: sum them collectively.
-    peak_table_entries_ = rank.allreduce_sum<std::uint64_t>(
-        table_->local_size(rank.id()));
-  } else if (rank.is_root()) {
-    peak_table_entries_ = table_->size_unsafe();
-  }
+  // Roll-ups go through collectives on every fabric, so the charged
+  // collectives (and modeled time) do not depend on where shards live.
+  // Shared results are written by root only, or by each process's one
+  // rank on a multi-process fabric.
+  const bool writes_shared = rank.is_root() || team_.multiprocess();
+  const auto peak =
+      rank.allreduce_sum<std::uint64_t>(table_->local_size(rank.id()));
+  if (writes_shared) peak_table_entries_ = peak;
   rank.barrier();
   // Discard below-threshold (erroneous) k-mers.
   const std::uint32_t min_count = std::max<std::uint32_t>(
@@ -341,7 +341,7 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
 
   // Collapse tallies into UFX records + histogram.
   auto& out = ufx_[static_cast<std::size_t>(rank.id())];
-  auto& hist = histogram_per_rank_[static_cast<std::size_t>(rank.id())];
+  std::vector<std::uint64_t> hist(256, 0);
   out.clear();
   out.reserve(table_->local_size(rank.id()));
   table_->for_each_local(rank, [&](const KmerT& km, KmerTally& tally) {
@@ -351,31 +351,24 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
   });
   rank.barrier();
 
-  // Global roll-ups on root.
+  // Global roll-ups.
   const std::uint64_t global_distinct =
       rank.allreduce_sum(distinct_per_rank_[static_cast<std::size_t>(rank.id())]);
   const std::uint64_t global_kept =
       rank.allreduce_sum<std::uint64_t>(out.size());
-  if (rank.is_root() || team_.multiprocess()) {
+  // Every rank contributes exactly 256 buckets, so the gathered rows fold
+  // by index modulo 256.
+  const auto all_hist = rank.allgatherv(hist);
+  if (writes_shared) {
     distinct_kmers_ = global_distinct;
     singleton_fraction_ =
         global_distinct == 0
             ? 0.0
             : 1.0 - static_cast<double>(global_kept) /
                         static_cast<double>(global_distinct);
-  }
-  if (team_.multiprocess()) {
-    // Only the local row of histogram_per_rank_ is filled in this process;
-    // gather the fixed-width rows and fold (every rank contributes exactly
-    // 256 buckets, so the concatenation folds by index modulo 256).
-    const auto all_hist = rank.allgatherv(hist);
     histogram_.assign(256, 0);
     for (std::size_t idx = 0; idx < all_hist.size(); ++idx)
       histogram_[idx % 256] += all_hist[idx];
-  } else if (rank.is_root()) {
-    histogram_.assign(256, 0);
-    for (const auto& h : histogram_per_rank_)
-      for (std::size_t c = 0; c < h.size(); ++c) histogram_[c] += h[c];
   }
   rank.barrier();
 }

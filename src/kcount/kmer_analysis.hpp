@@ -166,7 +166,6 @@ class KmerAnalysis {
   std::vector<std::vector<std::pair<seq::KmerT, KmerSummary>>> ufx_;
   std::vector<std::uint64_t> distinct_per_rank_;
   std::vector<std::uint64_t> instances_per_rank_;
-  std::vector<std::vector<std::uint64_t>> histogram_per_rank_;
 
   double cardinality_estimate_ = 0.0;
   std::size_t peak_table_entries_ = 0;

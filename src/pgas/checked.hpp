@@ -51,8 +51,8 @@ namespace hipmer::pgas {
 
 /// RAII opt-out from the phase rules for one table on one rank: UPC's
 /// "relaxed" access mode made explicit. A protocol that is mixed-phase by
-/// design — fine RMWs interleaved with batched lookups inside one epoch,
-/// each entry guarded by its own state — wraps that block in a
+/// design — fine-grained updates interleaved with batched lookups inside
+/// one epoch, each entry guarded by its own state — wraps that block in a
 /// RelaxedPhase to document it at the call site and silence the checker
 /// for exactly that scope; everything outside it stays strict. No `src/`
 /// phase uses it; it stays for the deliberate-violation tests that pin the

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
@@ -127,9 +126,12 @@ class DistHashMap {
           [this](int, const std::byte* data, std::size_t size) {
             deliver_remote_replies(data, size);
           });
-      rmw_rpc_ = team.fabric().register_rpc(
+      // Inbound fine lookups: a one-request batch, answered in the RPC
+      // response by a one-entry reply batch.
+      find_rpc_ = team.fabric().register_rpc(
           [this](int, const std::byte* data, std::size_t size) {
-            return serve_rmw(data, size);
+            return map_wire::encode_lookup_replies(
+                probe_requests(map_wire::decode_batch<LookupReq>(data, size)));
           });
     }
     const std::size_t per_shard =
@@ -238,7 +240,9 @@ class DistHashMap {
 
   /// One-sided lookup. One message (request+reply counted once); a miss
   /// moves only the key-sized request — the reply carries no value — so
-  /// modeled lookup traffic is not inflated by absent keys.
+  /// modeled lookup traffic is not inflated by absent keys. The owner's
+  /// shard is probed in place when it lives in this address space and
+  /// through one fabric RPC otherwise; the charge is the same on both.
   [[nodiscard]] std::optional<V> find(Rank& rank,
                                       const K& key HIPMER_SITE_DEFAULT) const {
 #if defined(HIPMER_CHECKED)
@@ -247,98 +251,12 @@ class DistHashMap {
 #endif
     const std::uint64_t h = Hash{}(key);
     const std::uint32_t owner = owner_of_hash(h);
-    // The pipeline's fine-grained reads are owner-local (the batched path
-    // handles remote reads); a remote fine-grained find on a multi-process
-    // fabric would read an empty local mirror of the owner's shard.
-    assert(team_->is_local(static_cast<int>(owner)));
-    const std::optional<V> result = probe(shards_[owner], h, key);
+    const std::optional<V> result = team_->is_local(static_cast<int>(owner))
+                                        ? probe(shards_[owner], h, key)
+                                        : find_remote(owner, h, key);
     rank.charge_message(static_cast<int>(owner),
                         sizeof(K) + (result.has_value() ? sizeof(V) : 0), 1);
     return result;
-  }
-
-  // ---- registered read-modify-write ----
-  //
-  // An arbitrary closure cannot cross an address space, so the table's
-  // in-place RMW names the operation up front — its captures become a POD
-  // argument block — and the owner process can execute it on a
-  // multi-process fabric from a [rmw-id, key, args] request. The
-  // traversal's remote summary reads and the scaffolder's tie updates are
-  // built on it. Registration runs in serial context during
-  // SPMD structure construction; every process constructs the same
-  // structures in the same order, so ids agree across the team without
-  // negotiation.
-
-  using RmwId = std::uint32_t;
-
-  /// Register `fn(V& value, const Args& args) -> Result`, executed under
-  /// the owner's bucket lock when the key is present (an absent key yields
-  /// nullopt at the call site).
-  template <typename Args, typename Result, typename Fn>
-  RmwId register_rmw(Fn fn) {
-    static_assert(std::is_trivially_copyable_v<Args> &&
-                      std::is_trivially_copyable_v<Result>,
-                  "rmw argument/result blocks must be trivially copyable");
-    rmws_.push_back([this, fn](std::uint32_t owner, std::uint64_t h,
-                               const K& key, const std::byte* args,
-                               std::size_t args_size,
-                               std::vector<std::byte>& out) -> bool {
-      Args a{};
-      if (args_size >= sizeof(Args)) std::memcpy(&a, args, sizeof(Args));
-      Bucket& bucket = bucket_of(shards_[owner], h);
-      SpinGuard guard(bucket.lock);
-      Entry* e = find_in_bucket(bucket, key);
-      if (e == nullptr) return false;
-      Result res = fn(e->value, a);
-      out.resize(sizeof(Result));
-      std::memcpy(out.data(), &res, sizeof(Result));
-      return true;
-    });
-    return static_cast<RmwId>(rmws_.size() - 1);
-  }
-
-  /// Execute a registered RMW against `key`'s owner: in place under the
-  /// owner's bucket lock when the owner shard lives in this address space,
-  /// over the fabric's request/response path otherwise. Charging is
-  /// identical on both paths and both fabrics.
-  template <typename Result, typename Args>
-  std::optional<Result> rmw(Rank& rank, const K& key, RmwId id,
-                            const Args& args HIPMER_SITE_DEFAULT) {
-#if defined(HIPMER_CHECKED)
-    checked_.on_store(rank.id(), CheckedTable::Path::kFine,
-                      to_site(hipmer_site));
-#endif
-    static_assert(std::is_trivially_copyable_v<Args> &&
-                      std::is_trivially_copyable_v<Result>,
-                  "rmw argument/result blocks must be trivially copyable");
-    const std::uint64_t h = Hash{}(key);
-    const std::uint32_t owner = owner_of_hash(h);
-    rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
-    if (team_->is_local(static_cast<int>(owner))) {
-      std::vector<std::byte> out;
-      const bool present =
-          rmws_[id](owner, h, key,
-                    reinterpret_cast<const std::byte*>(&args), sizeof(Args),
-                    out);
-      if (!present) return std::nullopt;
-      bump_version();
-      Result res{};
-      std::memcpy(&res, out.data(), sizeof(Result));
-      return res;
-    }
-    auto payload = map_wire::encode_rmw_request(
-        id, h, key, reinterpret_cast<const std::byte*>(&args), sizeof(Args));
-    const auto resp =
-        team_->fabric().rpc(rmw_rpc_, static_cast<int>(owner),
-                            std::move(payload));
-    const auto result = map_wire::decode_rmw_response(resp.data(), resp.size());
-    if (!result) return std::nullopt;
-    if (result->size() != sizeof(Result))
-      throw io::wire::CorruptError(
-          "wire: corrupt: rmw result size disagrees with Result type");
-    Result res{};
-    std::memcpy(&res, result->data(), sizeof(Result));
-    return res;
   }
 
   // ---- aggregating-stores path ----
@@ -735,16 +653,13 @@ class DistHashMap {
     };
   }
 
-  /// Owner side of a remote lookup batch: probe the local shard and ship
-  /// one reply message. Charging mirrors answer_lookup_batch — the request
-  /// ships the keys, the reply ships values for the hits only — but lands
-  /// in this process's mirror of the initiator's counters.
-  void answer_remote_lookups(int src, std::vector<LookupReq>& reqs) {
-    const auto me = static_cast<std::uint32_t>(team_->my_rank());
-    const Shard& shard = shards_[me];
+  /// Owner side of remote lookups: probe the local shard for each request,
+  /// prefetching ahead. Serves both lookup batches and remote find()s.
+  std::vector<map_wire::LookupReply<K, V>> probe_requests(
+      const std::vector<LookupReq>& reqs) const {
+    const Shard& shard = shards_[static_cast<std::size_t>(team_->my_rank())];
     std::vector<map_wire::LookupReply<K, V>> replies;
     replies.reserve(reqs.size());
-    std::size_t hits = 0;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (i + kPrefetchDistance < reqs.size())
         prefetch_bucket(shard, reqs[i + kPrefetchDistance].hash);
@@ -755,16 +670,42 @@ class DistHashMap {
       if (const std::optional<V> value = probe(shard, req.hash, req.key)) {
         reply.value = *value;
         reply.found = true;
-        ++hits;
       }
       replies.push_back(reply);
     }
+    return replies;
+  }
+
+  /// Owner side of a remote lookup batch: probe the local shard and ship
+  /// one reply message. Charging mirrors answer_lookup_batch — the request
+  /// ships the keys, the reply ships values for the hits only — but lands
+  /// in this process's mirror of the initiator's counters.
+  void answer_remote_lookups(int src, const std::vector<LookupReq>& reqs) {
+    const auto replies = probe_requests(reqs);
+    const auto hits = static_cast<std::size_t>(std::ranges::count_if(
+        replies, [](const auto& reply) { return reply.found; }));
     Rank initiator(*team_, src);
-    initiator.charge_message(static_cast<int>(me),
+    initiator.charge_message(team_->my_rank(),
                              reqs.size() * sizeof(K) + hits * sizeof(V),
                              reqs.size());
     team_->fabric().send_oneway(reply_oneway_, src,
                                 map_wire::encode_lookup_replies(replies));
+  }
+
+  /// Initiator side of a remote find(): one RPC carrying a one-request
+  /// batch, answered by a one-entry reply batch.
+  std::optional<V> find_remote(std::uint32_t owner, std::uint64_t h,
+                               const K& key) const {
+    const auto resp = team_->fabric().rpc(
+        find_rpc_, static_cast<int>(owner),
+        map_wire::encode_batch(std::vector<LookupReq>{LookupReq{h, key, 0}}));
+    const auto replies =
+        map_wire::decode_lookup_replies<K, V>(resp.data(), resp.size());
+    if (replies.size() != 1)
+      throw io::wire::CorruptError(
+          "wire: corrupt: find reply does not hold exactly one entry");
+    if (!replies[0].found) return std::nullopt;
+    return replies[0].value;
   }
 
   /// Initiator side: decode one reply message, deliver each entry through
@@ -777,19 +718,6 @@ class DistHashMap {
     }
     assert(outstanding_ > 0);
     if (outstanding_ > 0) --outstanding_;
-  }
-
-  /// Owner side of a remote registered-RMW request.
-  std::vector<std::byte> serve_rmw(const std::byte* data, std::size_t size) {
-    auto req = map_wire::decode_rmw_request<K>(data, size);
-    if (req.id >= rmws_.size())
-      throw io::wire::CorruptError("wire: corrupt: unknown rmw id");
-    std::vector<std::byte> out;
-    const bool present =
-        rmws_[req.id](static_cast<std::uint32_t>(team_->my_rank()), req.hash,
-                      req.key, req.args.data(), req.args.size(), out);
-    if (present) bump_version();
-    return map_wire::encode_rmw_response(present, out);
   }
 
   /// Owner mapping: the installed mapper (oracle partitioning) or h % P.
@@ -938,18 +866,13 @@ class DistHashMap {
   // rank touches only its own slot.
   std::vector<std::unique_ptr<Cache>> caches_;
   // Multi-process fabric state (this process's single rank owns it all):
-  // fabric service ids, reply batches still in flight, the armed reply
-  // dispatch target, and the registered-RMW table in registration order.
+  // fabric service ids, reply batches still in flight, and the armed reply
+  // dispatch target.
   std::uint32_t reply_oneway_ = 0;
-  std::uint32_t rmw_rpc_ = 0;
+  std::uint32_t find_rpc_ = 0;
   std::size_t outstanding_ = 0;
   void* reply_ctx_ = nullptr;
   void (*reply_fn_)(void*, const K&, const V*, std::uint64_t) = nullptr;
-  std::vector<std::function<bool(std::uint32_t owner, std::uint64_t h,
-                                 const K& key, const std::byte* args,
-                                 std::size_t args_size,
-                                 std::vector<std::byte>& out)>>
-      rmws_;
 #if defined(HIPMER_CHECKED)
   // mutable: lookups are logically const but must record read events.
   mutable CheckedTable checked_;

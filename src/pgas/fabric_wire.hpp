@@ -36,7 +36,7 @@ enum class FrameKind : std::uint32_t {
   kSerial,          ///< endpoint -> router: serial-context contribution
   kSerialRelease,   ///< router -> endpoints: all P contributions
   kOneway,          ///< fire-and-forget service message (lookup replies)
-  kRpcReq,          ///< request to a registered RPC service (RMW, fetch)
+  kRpcReq,          ///< request to a registered RPC service (find, fetch)
   kRpcResp,         ///< response to the single outstanding RPC
   kRankDown,        ///< src is dead; everyone unwinds via RankKilled
   kBye,             ///< clean shutdown of src's endpoint

@@ -2,21 +2,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "io/wire.hpp"
 
-/// Wire formats of the DistHashMap remote paths — batched stores/lookups,
-/// the lookup reply oneway, and the registered-RMW request/response —
-/// extracted from the map template so each codec is a plain annotated free
-/// function wirecheck can diff and the schema sweeps can corrupt. All of
-/// these payloads ride inside CRC-checked transport envelopes or fabric
-/// frames, but still decode through the throwing Reader API: a framing bug
-/// upstream surfaces as a clean CorruptError instead of a misparse.
+/// Wire formats of the DistHashMap remote paths — store and lookup batches
+/// and the lookup reply; a remote find() travels as a one-request lookup
+/// batch answered by a one-entry reply — extracted from the map template
+/// so each codec is a plain annotated free function wirecheck can diff and
+/// the schema sweeps can corrupt. All of these payloads ride inside
+/// CRC-checked transport envelopes or fabric frames, but still decode
+/// through the throwing Reader API: a framing bug upstream surfaces as a
+/// clean CorruptError instead of a misparse.
 namespace hipmer::pgas::map_wire {
 
 /// One entry of a lookup reply batch: the echoed request tag and key, plus
@@ -27,16 +26,6 @@ struct LookupReply {
   bool found = false;
   K key{};
   V value{};
-};
-
-/// One decoded registered-RMW request: the handler id, the key's hash and
-/// bytes, and the opaque argument block (interpreted by the handler).
-template <typename K>
-struct RmwRequest {
-  std::uint32_t id = 0;
-  std::uint64_t hash = 0;
-  K key{};
-  std::vector<std::byte> args;
 };
 
 /// [u32 count][bytes: count * sizeof(Op) memcpy'd ops]
@@ -117,74 +106,6 @@ std::vector<LookupReply<K, V>> decode_lookup_replies(const std::byte* data,
     throw io::wire::CorruptError(
         "wire: corrupt: trailing bytes after lookup replies");
   return replies;
-}
-
-/// [u32 id][u64 hash][pod K][arg bytes to end of payload]
-// wire-schema: dhm_rmw_request writer
-template <typename K>
-std::vector<std::byte> encode_rmw_request(std::uint32_t id, std::uint64_t hash,
-                                          const K& key, const std::byte* args,
-                                          std::size_t args_size) {
-  std::vector<std::byte> out;
-  io::wire::Writer w(out);
-  w.put_u32(id);
-  w.put_u64(hash);
-  w.put_pod(key);  // wire: pod K
-  const std::size_t base = out.size();
-  out.resize(base + args_size);  // wire: rest
-  if (args_size > 0) std::memcpy(out.data() + base, args, args_size);
-  return out;
-}
-
-// wire-schema: dhm_rmw_request reader
-template <typename K>
-RmwRequest<K> decode_rmw_request(const std::byte* data, std::size_t size) {
-  io::wire::Reader r(data, size);
-  RmwRequest<K> req;
-  req.id = r.get_u32_checked("rmw id");
-  req.hash = r.get_u64_checked("rmw hash");
-  req.key = r.get_pod_checked<K>("rmw key");
-  req.args.resize(r.remaining());  // wire: rest
-  if (!req.args.empty()) r.get_raw(req.args.data(), req.args.size(), "rmw args");
-  return req;
-}
-
-/// [u8 present][result bytes to end iff present]
-// wire-schema: dhm_rmw_response writer
-inline std::vector<std::byte> encode_rmw_response(
-    bool present, const std::vector<std::byte>& result) {
-  std::vector<std::byte> out;
-  io::wire::Writer w(out);
-  w.put_pod(static_cast<std::uint8_t>(present ? 1 : 0));
-  if (present) {
-    // resize + memcpy, not a range insert: see io::wire::Writer::append on
-    // GCC 12's bounds false positive.
-    const std::size_t base = out.size();
-    out.resize(base + result.size());  // wire: rest
-    if (!result.empty())
-      std::memcpy(out.data() + base, result.data(), result.size());
-  }
-  return out;
-}
-
-// wire-schema: dhm_rmw_response reader
-inline std::optional<std::vector<std::byte>> decode_rmw_response(
-    const std::byte* data, std::size_t size) {
-  io::wire::Reader r(data, size);
-  const auto present = r.get_pod_checked<std::uint8_t>("rmw present");
-  if (present > 1)
-    throw io::wire::CorruptError(
-        "wire: corrupt: rmw present flag is neither 0 nor 1");
-  std::optional<std::vector<std::byte>> out;
-  if (present != 0) {
-    std::vector<std::byte> result(r.remaining());  // wire: rest
-    if (!result.empty()) r.get_raw(result.data(), result.size(), "rmw result");
-    out = std::move(result);
-  } else if (!r.done()) {
-    throw io::wire::CorruptError(
-        "wire: corrupt: trailing bytes after absent rmw response");
-  }
-  return out;
 }
 
 }  // namespace hipmer::pgas::map_wire

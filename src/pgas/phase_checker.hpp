@@ -31,7 +31,7 @@
 ///   mixed-access              fine-grained and batched ops of the same
 ///                             direction on one table in one epoch
 ///
-/// Phases where mixed fine-RMW + batched-read traffic is the *protocol*
+/// Phases where mixed fine-grained + batched traffic is the *protocol*
 /// can opt out explicitly with a `RelaxedPhase` scope — the UPC "relaxed"
 /// access mode, made visible and grep-able at the call site. No `src/`
 /// phase uses it; it stays for the deliberate-violation tests that pin the
@@ -253,8 +253,8 @@ class CheckedTable {
   void set_name(std::string name);
   [[nodiscard]] std::string name() const;
 
-  /// Validate + record a store (update / rmw / buffered enqueue /
-  /// local erase). kLocal stores skip the mixed-access rule (owner-side
+  /// Validate + record a store (update / owned update / buffered enqueue
+  /// / local erase). kLocal stores skip the mixed-access rule (owner-side
   /// compaction is not a communication path) but still conflict with
   /// same-epoch lookups from other ranks.
   void on_store(int rank, Path path, SiteInfo site);

@@ -105,11 +105,11 @@ std::uint64_t Pipeline::config_fingerprint(
   const auto put_b = [&](bool v) { w.put_u32(v ? 1 : 0); };
 
   // Only result-affecting parameters enter the fingerprint. Batching knobs
-  // (flush_threshold, chunk_kmers, lookup_chunk, read_cache_capacity,
-  // expected_links) change message schedules and table sizing, not what is
-  // computed; the machine model, oracle partition and checkpoint config are
-  // likewise excluded, as are the team size (resume re-shards) and
-  // scaffolding_rounds (a longer run reuses a shorter run's snapshots).
+  // (flush_threshold, chunk_kmers, lookup_chunk, expected_links) change
+  // message schedules and table sizing, not what is computed; the machine
+  // model, oracle partition and checkpoint config are likewise excluded, as
+  // are the team size (resume re-shards) and scaffolding_rounds (a longer
+  // run reuses a shorter run's snapshots).
   w.put_u32(0x31504643);  // "CFP1"
   put_i(config_.k);
   put_u(config_.kmer.min_count);

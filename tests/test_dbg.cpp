@@ -329,8 +329,9 @@ TEST(ContigGen, CircularChainTerminates) {
   EXPECT_EQ(cyc.left.code, 'O');
   EXPECT_EQ(cyc.right.code, 'O');
   KmerT smallest;
-  for (seq::KmerScanner<KmerT::kMaxK> it(circle + circle.substr(0, k - 1), k);
-       !it.done(); it.next())
+  // Named, not a temporary: the scanner keeps a view of the sequence.
+  const std::string wrapped = circle + circle.substr(0, k - 1);
+  for (seq::KmerScanner<KmerT::kMaxK> it(wrapped, k); !it.done(); it.next())
     if (it.position() == 0 || it.canonical() < smallest)
       smallest = it.canonical();
   const auto kk = static_cast<std::size_t>(k);

@@ -3,7 +3,8 @@
 // frame protocol against an in-process fake coordinator, and end-to-end
 // multi-process assembly through the CLI — byte-identical output across
 // fabrics, including under a pinned chaos schedule and a kill -9'd worker
-// that resumes from checkpoint.
+// that resumes from checkpoint, and per-stage modeled seconds that do not
+// depend on the fabric.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -405,8 +407,9 @@ class FabricEndToEnd : public ::testing::Test {
     if (!dir_.empty()) run("rm -rf " + dir_);
   }
 
-  static int run(const std::string& cmd) {
-    const int rc = std::system((cmd + " > /dev/null 2>&1").c_str());
+  static int run(const std::string& cmd,
+                 const std::string& log = "/dev/null") {
+    const int rc = std::system((cmd + " > " + log + " 2>&1").c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
 
@@ -422,6 +425,24 @@ class FabricEndToEnd : public ::testing::Test {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+  }
+
+  /// Stage name -> modeled-seconds figure, from the stage lines
+  /// ("  <stage>: wall <s>s, modeled <s>") of an assembly's report.
+  static std::map<std::string, std::string> modeled_by_stage(
+      const std::string& report) {
+    std::map<std::string, std::string> modeled;
+    std::istringstream lines(report);
+    for (std::string line; std::getline(lines, line);) {
+      const auto colon = line.find(": wall ");
+      const auto figure = line.find(", modeled ");
+      if (line.rfind("  ", 0) != 0 || colon == std::string::npos ||
+          figure == std::string::npos)
+        continue;
+      modeled[line.substr(2, colon - 2)] =
+          line.substr(figure + std::string(", modeled ").size());
+    }
+    return modeled;
   }
 };
 
@@ -446,6 +467,25 @@ TEST_F(FabricEndToEnd, PinnedChaosScheduleMatchesAcrossFabrics) {
   const auto threads = slurp("threads_chaos.fasta");
   const auto proc = slurp("proc_chaos.fasta");
   ASSERT_FALSE(threads.empty());
+  EXPECT_EQ(proc, threads);
+}
+
+// Modeled time is the paper's instrument, so it must not depend on the
+// fabric. merAligner is exempt: its seed lookups run through the ReadCache,
+// which only the threads fabric enables.
+TEST_F(FabricEndToEnd, StageModeledSecondsMatchAcrossFabrics) {
+  ASSERT_EQ(run(assemble_cmd("threads_modeled.fasta", ""),
+                dir_ + "/threads_modeled.log"),
+            0);
+  ASSERT_EQ(run(assemble_cmd("proc_modeled.fasta", "--fabric proc"),
+                dir_ + "/proc_modeled.log"),
+            0);
+  auto threads = modeled_by_stage(slurp("threads_modeled.log"));
+  auto proc = modeled_by_stage(slurp("proc_modeled.log"));
+  ASSERT_TRUE(threads.contains("kmer_analysis"));
+  ASSERT_TRUE(threads.contains("contig_generation"));
+  threads.erase("merAligner");
+  proc.erase("merAligner");
   EXPECT_EQ(proc, threads);
 }
 

@@ -306,30 +306,6 @@ TEST(DistHashMap, IfPresentPolicySkipsNewKeys) {
   });
 }
 
-TEST(DistHashMap, RegisteredRmwInPlace) {
-  ThreadTeam team(Topology{3, 3});
-  Map map(team, Map::Config{.global_capacity = 64, .flush_threshold = 4});
-  // Registered in serial context, like every structure's RMWs.
-  const auto inc = map.register_rmw<std::uint64_t, std::uint64_t>(
-      [](std::uint64_t& v, const std::uint64_t& by) {
-        v += by;
-        return v;
-      });
-  team.run([&](Rank& rank) {
-    if (rank.is_root()) map.update(rank, 7u, 100);
-    rank.barrier();
-    const auto r = map.rmw<std::uint64_t>(rank, 7u, inc, std::uint64_t{1});
-    ASSERT_TRUE(r.has_value());
-    rank.barrier();
-    EXPECT_EQ(map.find(rank, 7u).value_or(0), 103u);  // 100 + one per rank
-    // rmw() is a store: reopen the table with a barrier before issuing
-    // it, or it races the find() other ranks run in the same phase.
-    rank.barrier();
-    EXPECT_FALSE(
-        map.rmw<std::uint64_t>(rank, 8u, inc, std::uint64_t{0}).has_value());
-  });
-}
-
 TEST(DistHashMap, EraseLocalIf) {
   ThreadTeam team(Topology{4, 2});
   Map map(team, Map::Config{.global_capacity = 1024, .flush_threshold = 8});
@@ -385,11 +361,6 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
   ThreadTeam team(Topology{p, 2});
   CountMap map(team,
                CountMap::Config{.global_capacity = 16, .flush_threshold = 8});
-  const auto add = map.register_rmw<std::uint64_t, std::uint64_t>(
-      [](std::uint64_t& v, const std::uint64_t& by) {
-        v += by;
-        return v;
-      });
 
   using Model = std::map<std::uint64_t, std::uint64_t>;
   struct Op {
@@ -403,8 +374,8 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
     return ops;
   };
   // Phases: 0 fine inserts, 1 buffered inserts, 2 buffered kIfPresent,
-  // 3 fine kIfPresent, 4 rmw, 5 erase_local_if. Ranges 2-4 are twice as
-  // wide, so half their keys are absent.
+  // 3 fine kIfPresent, 4 fine finds (no writes), 5 erase_local_if. Ranges
+  // 2-4 are twice as wide, so half their keys are absent.
   const int phases = 6;
   auto range_of = [](int phase) -> std::uint64_t {
     return phase >= 2 ? 4000 : 2000;
@@ -415,7 +386,7 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
   for (int phase = 0; phase < phases; ++phase) {
     if (phase == 5) {
       std::erase_if(model, [&](const auto& kv) { return erased(kv.second); });
-    } else {
+    } else if (phase != 4) {
       for (int r = 0; r < p; ++r)
         for (const Op& op : ops_for(phase, r, range_of(phase)))
           if (phase < 2 || model.contains(op.key)) model[op.key] += op.delta;
@@ -461,11 +432,14 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
             map.update(rank, op.key, op.delta, CountMap::Policy::kIfPresent);
           break;
         case 4:
-          for (const Op& op : ops)
-            EXPECT_EQ(map.rmw<std::uint64_t>(rank, op.key, add, op.delta)
-                          .has_value(),
-                      before.contains(op.key))
-                << op.key;
+          for (const Op& op : ops) {
+            const auto v = map.find(rank, op.key);
+            const auto it = before.find(op.key);
+            EXPECT_EQ(v.has_value(), it != before.end()) << op.key;
+            if (v && it != before.end()) {
+              EXPECT_EQ(*v, it->second) << op.key;
+            }
+          }
           break;
         default:
           map.erase_local_if(rank, [&](const std::uint64_t&,

@@ -157,17 +157,6 @@ TEST_F(WireSchemaSweep, TrailingGarbageIsHandled) {
 // sweeps above would catch a reintroduction too, but these name the exact
 // byte and the exact rule so a failure reads as the bug it is.
 
-/// An absent RMW response used to ignore trailing bytes — a framing bug
-/// upstream could smuggle a payload past the `present == 0` flag.
-TEST(WireSchemaRegression, RmwResponseRejectsTrailingBytesWhenAbsent) {
-  Bytes absent = pgas::map_wire::encode_rmw_response(false, {});
-  ASSERT_EQ(absent.size(), 1U);
-  absent.push_back(std::byte{0x7F});
-  EXPECT_THROW(pgas::map_wire::decode_rmw_response(absent.data(),
-                                                   absent.size()),
-               io::wire::CorruptError);
-}
-
 /// has_junction bytes of 2..255 used to decode as `true` and re-encode as
 /// 1 — a partially dead wire byte. Wire booleans are strict 0/1 now.
 TEST(WireSchemaRegression, ContigRejectsNonBooleanJunctionFlag) {

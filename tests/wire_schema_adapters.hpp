@@ -412,46 +412,6 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
                      }});
   }
 
-  // ---- pgas: registered-RMW request ----
-  {
-    const std::vector<std::byte> args = {std::byte{0x10}, std::byte{0x20},
-                                         std::byte{0x30}, std::byte{0x41},
-                                         std::byte{0x52}};
-    cases.push_back({"dhm_rmw_request",
-                     pgas::map_wire::encode_rmw_request<std::uint64_t>(
-                         5, 0x9999AAAABBBBCCCCULL, 0xFEDCBA9876543210ULL,
-                         args.data(), args.size()),
-                     [](const Bytes& b) {
-                       return guard([&] {
-                         const auto req =
-                             pgas::map_wire::decode_rmw_request<std::uint64_t>(
-                                 b.data(), b.size());
-                         return Fingerprint{
-                             pgas::map_wire::encode_rmw_request(
-                                 req.id, req.hash, req.key, req.args.data(),
-                                 req.args.size())};
-                       });
-                     }});
-  }
-
-  // ---- pgas: registered-RMW response ----
-  {
-    const std::vector<std::byte> result = {std::byte{0x01}, std::byte{0x23},
-                                           std::byte{0x45}, std::byte{0x67},
-                                           std::byte{0x89}, std::byte{0xAB}};
-    cases.push_back({"dhm_rmw_response",
-                     pgas::map_wire::encode_rmw_response(true, result),
-                     [](const Bytes& b) {
-                       return guard([&] {
-                         const auto resp = pgas::map_wire::decode_rmw_response(
-                             b.data(), b.size());
-                         return Fingerprint{pgas::map_wire::encode_rmw_response(
-                             resp.has_value(),
-                             resp.value_or(std::vector<std::byte>{}))};
-                       });
-                     }});
-  }
-
   // ---- pgas: fabric frame (CRC: reject mode) ----
   {
     pgas::Frame frame;
