@@ -7,11 +7,16 @@
 
 namespace hipmer::align {
 
+namespace {
+/// Contigs each rank's cache holds.
+constexpr std::size_t kCacheSlots = 64;
+}  // namespace
+
 ContigStore::ContigStore(pgas::ThreadTeam& team)
     : team_(&team),
       nranks_(team.nranks()),
       shards_(static_cast<std::size_t>(team.nranks())),
-      caches_(static_cast<std::size_t>(team.nranks()))
+      caches_(static_cast<std::size_t>(team.nranks()), Cache(kCacheSlots))
 #if defined(HIPMER_CHECKED)
       ,
       checked_(team.checker(), "align.contig_store", nullptr, nullptr)
@@ -34,6 +39,18 @@ namespace {
 constexpr std::uint8_t kOpMeta = 1;
 constexpr std::uint8_t kOpSeq = 2;
 constexpr std::uint8_t kOpRecord = 3;
+
+/// Metadata of `contig`, or the default Meta when it is absent.
+ContigStore::Meta meta_of(const dbg::Contig* contig) {
+  ContigStore::Meta m;
+  if (contig != nullptr) {
+    m.length = static_cast<std::uint32_t>(contig->seq.size());
+    m.avg_depth = static_cast<float>(contig->avg_depth);
+    m.left_term = contig->left.code;
+    m.right_term = contig->right.code;
+  }
+  return m;
+}
 }  // namespace
 
 // wire-schema: contig_meta writer
@@ -75,17 +92,9 @@ std::vector<std::byte> ContigStore::serve_fetch(const std::byte* data,
   std::vector<std::byte> resp;
   io::wire::Writer w(resp);
   switch (op) {
-    case kOpMeta: {
-      Meta m;
-      if (contig != nullptr) {
-        m.length = static_cast<std::uint32_t>(contig->seq.size());
-        m.avg_depth = static_cast<float>(contig->avg_depth);
-        m.left_term = contig->left.code;
-        m.right_term = contig->right.code;
-      }
-      put_contig_meta(w, m);
+    case kOpMeta:
+      put_contig_meta(w, meta_of(contig));
       break;
-    }
     case kOpSeq:
       w.put_bytes(contig != nullptr ? std::string_view(contig->seq)
                                     : std::string_view{});
@@ -125,18 +134,12 @@ void ContigStore::build(pgas::Rank& rank,
   std::sort(shard.begin(), shard.end(),
             [](const dbg::Contig& a, const dbg::Contig& b) { return a.id < b.id; });
 
-  caches_[static_cast<std::size_t>(rank.id())].assign(cache_capacity_,
-                                                      CacheEntry{});
+  caches_[static_cast<std::size_t>(rank.id())] = Cache(kCacheSlots);
   const std::uint64_t local = shard.size();
   // Every rank stores the same allreduce result; relaxed atomic keeps the
   // concurrent same-value stores well-defined.
   total_.store(rank.allreduce_sum(local), std::memory_order_relaxed);
   rank.barrier();
-}
-
-void ContigStore::set_cache_capacity(std::size_t contigs_per_rank) {
-  cache_capacity_ = contigs_per_rank;
-  for (auto& cache : caches_) cache.assign(cache_capacity_, CacheEntry{});
 }
 
 const dbg::Contig* ContigStore::local_lookup(std::uint64_t id) const {
@@ -162,23 +165,9 @@ ContigStore::Meta ContigStore::meta(pgas::Rank& rank,
     io::wire::Reader r(resp.data(), resp.size());
     m = get_contig_meta_checked(r);
   } else {
-    const dbg::Contig* contig = local_lookup(id);
-    if (contig != nullptr) {
-      m.length = static_cast<std::uint32_t>(contig->seq.size());
-      m.avg_depth = static_cast<float>(contig->avg_depth);
-      m.left_term = contig->left.code;
-      m.right_term = contig->right.code;
-    }
+    m = meta_of(local_lookup(id));
   }
-  if (owner == rank.id()) {
-    rank.stats().add_local_access();
-  } else if (rank.topology().same_node(owner, rank.id())) {
-    rank.stats().add_onnode_msg(sizeof(Meta));
-    rank.stats_of(owner).add_recv_ops();
-  } else {
-    rank.stats().add_offnode_msg(sizeof(Meta));
-    rank.stats_of(owner).add_recv_ops();
-  }
+  rank.charge_message(owner, sizeof(Meta));
   return m;
 }
 
@@ -200,12 +189,7 @@ std::string ContigStore::fetch(pgas::Rank& rank, std::uint64_t id,
 
   // Remote: consult this rank's cache first (whole-contig granularity).
   auto& cache = caches_[static_cast<std::size_t>(rank.id())];
-  const std::string* seq = nullptr;
-  std::size_t slot = 0;
-  if (!cache.empty()) {
-    slot = static_cast<std::size_t>(id) % cache.size();
-    if (cache[slot].id == id) seq = &cache[slot].seq;
-  }
+  const std::string* seq = cache.lookup(id, id);
   if (seq == nullptr) {
     std::string fetched;
     if (remote(owner)) {
@@ -216,19 +200,8 @@ std::string ContigStore::fetch(pgas::Rank& rank, std::uint64_t id,
       const dbg::Contig* contig = local_lookup(id);
       if (contig != nullptr) fetched = contig->seq;
     }
-    if (rank.topology().same_node(owner, rank.id())) {
-      rank.stats().add_onnode_msg(fetched.size());
-    } else {
-      rank.stats().add_offnode_msg(fetched.size());
-    }
-    rank.stats_of(owner).add_recv_ops();
-    if (!cache.empty()) {
-      cache[slot] = CacheEntry{id, fetched};
-      seq = &cache[slot].seq;
-    } else {
-      if (start >= fetched.size()) return {};
-      return fetched.substr(start, std::min<std::size_t>(len, fetched.size() - start));
-    }
+    rank.charge_message(owner, fetched.size());
+    seq = &cache.insert(id, id, std::move(fetched));
   }
   if (start >= seq->size()) return {};
   return seq->substr(start, std::min<std::size_t>(len, seq->size() - start));
@@ -279,16 +252,7 @@ dbg::Contig ContigStore::fetch_record(pgas::Rank& rank,
     const dbg::Contig* contig = local_lookup(id);
     if (contig != nullptr) copy = *contig;
   }
-  if (owner == rank.id()) {
-    rank.stats().add_local_access();
-  } else {
-    if (rank.topology().same_node(owner, rank.id())) {
-      rank.stats().add_onnode_msg(copy.seq.size() + 64);
-    } else {
-      rank.stats().add_offnode_msg(copy.seq.size() + 64);
-    }
-    rank.stats_of(owner).add_recv_ops();
-  }
+  rank.charge_message(owner, copy.seq.size() + 64);
   return copy;
 }
 

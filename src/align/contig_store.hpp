@@ -9,6 +9,7 @@
 #include "dbg/contig.hpp"
 #include "io/wire.hpp"
 #include "pgas/checked.hpp"
+#include "pgas/read_cache.hpp"
 #include "pgas/thread_team.hpp"
 
 #if defined(HIPMER_CHECKED)
@@ -22,8 +23,8 @@
 /// giving every later stage (seed-index construction, alignment extension,
 /// gap closing) O(1) location of any contig by id. Remote sequence reads
 /// are one-sided and charged by the byte, like UPC global-pointer derefs;
-/// per-rank software caching (merAligner §4.3 does the same) collapses
-/// repeated fetches of hot contigs.
+/// a per-rank direct-mapped cache of whole contigs (slot = id % 64)
+/// collapses repeated fetches of hot contigs.
 namespace hipmer::align {
 
 class ContigStore {
@@ -55,7 +56,7 @@ class ContigStore {
                           std::uint64_t id HIPMER_SITE_DEFAULT) const;
 
   /// One-sided read of `len` bases starting at `start` (clamped to the
-  /// contig). Goes through the per-rank cache when enabled.
+  /// contig). Remote contigs go through the per-rank cache.
   [[nodiscard]] std::string fetch(pgas::Rank& rank, std::uint64_t id,
                                   std::uint32_t start,
                                   std::uint32_t len HIPMER_SITE_DEFAULT) const;
@@ -78,10 +79,6 @@ class ContigStore {
     for (const auto& contig : shard) fn(contig.id, contig);
   }
 
-  /// Per-rank cache capacity in contigs (0 disables). Must be set before
-  /// the first fetch.
-  void set_cache_capacity(std::size_t contigs_per_rank);
-
   /// Owner-side depth update (the §4.1 depth recomputation writes back
   /// through this; call only for contigs owned by `rank`, after build and
   /// behind a barrier).
@@ -92,11 +89,6 @@ class ContigStore {
   [[nodiscard]] std::uint64_t local_bases(int rank) const;
 
  private:
-  struct CacheEntry {
-    std::uint64_t id = ~0ull;
-    std::string seq;
-  };
-
   [[nodiscard]] const dbg::Contig* local_lookup(std::uint64_t id) const;
 
   // Multi-process fabric: the owner's shard is in another address space,
@@ -115,9 +107,10 @@ class ContigStore {
   std::atomic<std::uint64_t> total_{0};
   /// shards_[r] holds contigs with id % P == r, sorted by id.
   std::vector<std::vector<dbg::Contig>> shards_;
-  /// Direct-mapped per-rank caches (mutable: fetch is logically const).
-  mutable std::vector<std::vector<CacheEntry>> caches_;
-  std::size_t cache_capacity_ = 64;
+  /// Per-rank caches of remote contig sequences, reset by build (mutable:
+  /// fetch is logically const).
+  using Cache = pgas::ReadCache<std::uint64_t, std::string>;
+  mutable std::vector<Cache> caches_;
   /// Fabric RPC service id for remote fetches (multi-process teams only).
   std::uint32_t rpc_ = 0;
 #if defined(HIPMER_CHECKED)

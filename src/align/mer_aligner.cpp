@@ -11,11 +11,6 @@ namespace hipmer::align {
 
 using seq::KmerT;
 
-/// Per-rank software read-cache capacity for seed lookups (entries). Reads
-/// cover the genome many times over, so the same seed k-mers recur;
-/// caching them turns repeat off-node lookups into local hits.
-constexpr std::size_t kReadCacheCapacity = 1 << 15;
-
 MerAligner::MerAligner(pgas::ThreadTeam& team, AlignerConfig config,
                        std::size_t expected_seed_kmers)
     : team_(team), config_(config) {
@@ -167,10 +162,6 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
   std::vector<ReadAlignment> out;
   out.reserve(reads.size());
 
-  // Alignment only reads the seed index, so the whole phase runs under the
-  // software read cache; it is torn down before the closing barrier.
-  index_->enable_read_cache(rank, kReadCacheCapacity);
-
   std::vector<SeedSlot> slots;
   std::vector<std::size_t> slot_begin;  // per chunk read: first slot index
   struct ChunkRead {
@@ -211,7 +202,7 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
     if (static_cast<std::int32_t>(reads.length(r)) < config_.seed_k) continue;
 
     // Seed pass: sample k-mers and issue batched lookups; the handler may
-    // run immediately (local key / cache hit) or at process_lookups.
+    // run immediately (local key) or at process_lookups.
     slot_begin.push_back(slots.size());
     chunk.push_back(ChunkRead{r, pair_id, mate});
     std::int32_t next_sample = 0;
@@ -233,8 +224,6 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
     if (chunk.size() >= config_.lookup_chunk) drain_chunk();
   }
   drain_chunk();
-
-  index_->disable_read_cache(rank);
   rank.barrier();
   return out;
 }

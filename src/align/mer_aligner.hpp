@@ -28,10 +28,12 @@
 ///   - **Seed lookup**: each rank streams its reads in chunks, sampling
 ///     k-mers every `seed_stride` bases, and resolves candidate (contig,
 ///     diagonal, strand) placements through the index's batched read path:
-///     lookups are aggregated per owner and fronted by a per-rank software
-///     cache (the journal version's cached + aggregated lookups).
+///     lookups are aggregated per owner, one message per owner per chunk
+///     (the journal version's aggregated lookups; its seed cache saves
+///     almost nothing once lookups are batched, so none is kept).
 ///   - **Extend**: candidates are scored against contig sequence fetched
-///     from the distributed ContigStore (cached). The fast path is a
+///     from the distributed ContigStore, whose per-rank cache holds the
+///     hot contigs. The fast path is a
 ///     gap-free diagonal extension; if its score is weak the banded
 ///     Smith–Waterman runs.
 namespace hipmer::align {

@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "io/fastq.hpp"
+#include "seq/read_name.hpp"
 
 namespace hipmer::io {
 
@@ -27,6 +28,19 @@ bool is_record_start(const std::string& data, std::size_t pos) {
   std::size_t nl2 = data.find('\n', nl1 + 1);
   if (nl2 == std::string::npos) return false;
   return nl2 + 1 < data.size() && data[nl2 + 1] == '+';
+}
+
+/// True if the record starting at `pos` is named as the second mate of a
+/// pair ("<lib>:<pair>/1"). No rank's range starts there, so both mates of
+/// an interleaved pair land on one rank, as the in-memory deal keeps them.
+bool is_second_mate(const std::string& data, std::size_t pos) {
+  const std::size_t nl = data.find('\n', pos);
+  std::uint64_t pair = 0;
+  int mate = 0;
+  return seq::parse_read_name(
+             std::string_view(data).substr(pos + 1, nl - pos - 1), pair,
+             mate) &&
+         mate == 1;
 }
 
 }  // namespace
@@ -76,7 +90,8 @@ std::uint64_t ParallelFastqReader::next_record_boundary(
     const std::string data = pread_range(offset, window);
     // Candidate boundaries are positions after a newline.
     for (std::size_t i = 0; i + 1 < data.size(); ++i) {
-      if (data[i] == '\n' && is_record_start(data, i + 1))
+      if (data[i] == '\n' && is_record_start(data, i + 1) &&
+          !is_second_mate(data, i + 1))
         return offset + i + 1;
     }
     if (offset + data.size() >= file_size_) return file_size_;

@@ -19,6 +19,9 @@
 ///      rank scans forward to the next true record boundary; the partial
 ///      record it skipped is processed by the previous rank, which reads
 ///      *past* its end offset until it completes the record it started.
+///      A boundary never falls between the two mates of an interleaved
+///      pair: a record named as a second mate (`seq/read_name.hpp`) is
+///      skipped too, so mates always share a rank.
 ///      Record-boundary detection uses the standard FASTQ disambiguation:
 ///      a line starting with '@' is a header only if the line after next
 ///      starts with '+' (quality lines may also start with '@').
@@ -61,7 +64,7 @@ class ParallelFastqReader {
                                             int max_records) const;
 
   /// Exposed for tests: offset of the first record boundary at or after
-  /// `offset` (file_size if none).
+  /// `offset` that does not start a second mate (file_size if none).
   [[nodiscard]] std::uint64_t next_record_boundary(std::uint64_t offset) const;
 
  private:

@@ -54,7 +54,7 @@
 ///   - `find()` — one message per lookup;
 ///   - `find_buffered()` + `process_lookups()` — lookup requests aggregate
 ///     per owner and replies arrive through a caller handler, optionally
-///     fronted by a per-rank bounded LRU ReadCache (`enable_read_cache`)
+///     fronted by a per-rank direct-mapped ReadCache (`enable_read_cache`)
 ///     for read-only phases. The cache self-invalidates across write-phase
 ///     boundaries via the table's write-version counter.
 namespace hipmer::pgas {
@@ -341,7 +341,7 @@ class DistHashMap {
                                 cache->size(), to_site(hipmer_site));
 #endif
       cache->check_version(version_.load(std::memory_order_acquire));
-      if (const V* hit = cache->lookup(key)) {
+      if (const V* hit = cache->lookup(key, util::fmix64(h))) {
         rank.stats().add_read_cache_hit();
         handler(key, hit, tag);
         return;
@@ -388,16 +388,16 @@ class DistHashMap {
     return n;
   }
 
-  /// Opt this rank into the software read cache (read-only phases). Each
-  /// rank manages only its own cache slot, so this is callable from inside
-  /// team.run() without synchronization.
-  void enable_read_cache(Rank& rank, std::size_t capacity) {
+  /// Opt this rank into a software read cache of `slots` entries
+  /// (read-only phases). Each rank manages only its own cache, so this is
+  /// callable from inside team.run() without synchronization.
+  void enable_read_cache(Rank& rank, std::size_t slots) {
     // On a multi-process fabric, version bumps from writes in other
     // processes are not observable here, so the self-invalidation contract
     // cannot hold; run uncached (correct, just unaccelerated).
     if (team_->multiprocess()) return;
     auto& slot = caches_[static_cast<std::size_t>(rank.id())];
-    slot = std::make_unique<Cache>(capacity);
+    slot = std::make_unique<Cache>(slots);
     active_caches_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -407,17 +407,6 @@ class DistHashMap {
     if (slot == nullptr) return;
     slot.reset();
     active_caches_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  /// This rank's cache hit/miss counters (zeros when no cache is enabled).
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] CacheStats read_cache_stats(int rank) const {
-    const auto* cache = caches_[static_cast<std::size_t>(rank)].get();
-    if (cache == nullptr) return {};
-    return CacheStats{cache->hits(), cache->misses()};
   }
 
   // ---- local-shard access (owner side) ----
@@ -554,7 +543,8 @@ class DistHashMap {
     std::uint64_t tag;
   };
 
-  using Cache = ReadCache<K, V, Hash>;
+  // Slotted by fmix64 of the key hash, like the shard buckets.
+  using Cache = ReadCache<K, V>;
 
   // Every batch travels the transport as a memcpy'd byte envelope, so
   // chaos and the multi-process fabric see all table traffic; that needs
@@ -835,7 +825,8 @@ class DistHashMap {
       const std::optional<V> value = probe(shard, req.hash, req.key);
       if (value) {
         ++hits;
-        if (cache != nullptr) cache->insert(req.key, *value);
+        if (cache != nullptr)
+          cache->insert(req.key, util::fmix64(req.hash), *value);
       }
       handler(static_cast<const K&>(req.key), value ? &*value : nullptr,
               req.tag);

@@ -1,79 +1,72 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
-/// Per-rank software cache for remote hash-table reads.
+/// Per-rank direct-mapped software cache for remote reads.
 ///
-/// The journal version of the paper (Georganas et al., arXiv:1705.11147)
-/// fronts merAligner's seed-index lookups with exactly this: a bounded
-/// per-processor cache of (key, value) pairs that short-circuits repeated
-/// remote lookups — at 18x read coverage the same seed k-mer is probed ~18
-/// times, so most lookups never leave the rank. The cache is strictly a
-/// read-phase structure: DistHashMap tags it with the table's write version
-/// and the cache drops everything when the version moves (see
+/// A power-of-two array of slots indexed by a hash the caller supplies:
+/// one key compare per lookup, and an insert overwrites whatever held the
+/// slot, so nothing is allocated per entry. ContigStore keeps one per rank
+/// for whole contig sequences (slot = contig id); DistHashMap fronts its
+/// batched lookups with one when a read-only phase opts in.
+///
+/// The cache is strictly a read-phase structure: the owner tags it with a
+/// write version and it drops everything when the version moves (see
 /// `check_version`), so a value can never be served across a write-phase
-/// boundary.
-///
-/// Single-threaded by construction — each rank owns one cache and nobody
-/// else touches it — so no locking, and the LRU list is a plain std::list.
+/// boundary. Single-threaded by construction — each rank owns one cache and
+/// nobody else touches it — so no locking.
 namespace hipmer::pgas {
 
-template <typename K, typename V, typename Hash>
+template <typename K, typename V>
 class ReadCache {
  public:
-  explicit ReadCache(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    map_.reserve(capacity_);
-  }
+  /// `slots` is rounded up to a power of two (at least one).
+  explicit ReadCache(std::size_t slots)
+      : slots_(std::bit_ceil(std::max<std::size_t>(slots, 1))) {}
 
   /// Drop everything if the owning table has been written since the cache
   /// was last coherent. Call before every lookup/insert batch.
   void check_version(std::uint64_t table_version) {
     if (table_version == seen_version_) return;
-    map_.clear();
-    lru_.clear();
+    if (size_ > 0) slots_.assign(slots_.size(), Slot{});
+    size_ = 0;
     seen_version_ = table_version;
   }
 
   /// nullptr on miss; on hit the pointer stays valid until the next
-  /// mutating call. Bumps the hit/miss counters.
-  [[nodiscard]] const V* lookup(const K& key) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
+  /// insert into the same slot. Bumps the hit/miss counters.
+  [[nodiscard]] const V* lookup(const K& key, std::uint64_t slot_hash) {
+    const Slot& slot = slots_[slot_hash & (slots_.size() - 1)];
+    if (slot.used && slot.key == key) {
+      ++hits_;
+      return &slot.value;
     }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-    return &it->second->second;
+    ++misses_;
+    return nullptr;
   }
 
-  /// Insert (or refresh) a key fetched from the owner; evicts the least
-  /// recently used entry at capacity. Only positive results are cached —
-  /// a cached "absent" could not be invalidated by the insert that fills
-  /// it without a version bump on every store, which read-only phases
-  /// never issue.
-  void insert(const K& key, const V& value) {
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      it->second->second = value;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
+  /// Store a value fetched from the owner in its slot, evicting the
+  /// previous occupant. Only positive results are cached — a cached
+  /// "absent" could not be invalidated by the insert that fills it without
+  /// a version bump on every store, which read-only phases never issue.
+  const V& insert(const K& key, std::uint64_t slot_hash, V value) {
+    Slot& slot = slots_[slot_hash & (slots_.size() - 1)];
+    if (!slot.used) {
+      slot.used = true;
+      ++size_;
     }
-    if (map_.size() >= capacity_) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-    lru_.emplace_front(key, value);
-    map_.emplace(key, lru_.begin());
+    slot.key = key;
+    slot.value = std::move(value);
+    return slot.value;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Occupied slots.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Table version this cache was last coherent with (0 = never synced).
   /// The phase checker compares it against the live table version *before*
   /// check_version self-invalidates.
@@ -84,14 +77,17 @@ class ReadCache {
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
  private:
-  std::size_t capacity_;
+  struct Slot {
+    bool used = false;
+    K key{};
+    V value{};
+  };
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
   std::uint64_t seen_version_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  // Front = most recently used.
-  std::list<std::pair<K, V>> lru_;
-  std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>
-      map_;
 };
 
 }  // namespace hipmer::pgas

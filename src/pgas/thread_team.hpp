@@ -469,18 +469,8 @@ std::vector<T> Rank::alltoallv(
       std::memcpy(cursor, out[r].data(), bytes);
       cursor += bytes;
     }
-    // Charge one message per non-empty destination (self excluded: local).
-    const int dest = static_cast<int>(r);
-    if (out[r].empty()) continue;
-    if (dest == rank_) {
-      stats().add_local_access();
-    } else if (topology().same_node(dest, rank_)) {
-      stats().add_onnode_msg(bytes);
-      stats_of(dest).add_recv_ops();
-    } else {
-      stats().add_offnode_msg(bytes);
-      stats_of(dest).add_recv_ops();
-    }
+    // Charge one message per non-empty destination (self: local access).
+    if (!out[r].empty()) charge_message(static_cast<int>(r), bytes);
   }
   barrier();
   // Pull the slice destined for this rank out of every sender's slot.

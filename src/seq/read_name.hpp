@@ -7,10 +7,10 @@
 
 /// Read-name convention: "<library>:<pair_index>/<mate>".
 ///
-/// Pairing must survive arbitrary file splitting by the parallel FASTQ
-/// reader, so mate identity is carried in the name rather than in record
-/// order. Every producer (simulators) and consumer (aligner, scaffolder)
-/// shares this parser.
+/// Mate identity is carried in the name rather than in record order, and
+/// the parallel FASTQ reader splits files only before a first mate, so the
+/// mates of a pair share a rank. Every producer (simulators) and consumer
+/// (reader, aligner, scaffolder) shares this parser.
 namespace hipmer::seq {
 
 /// Parse "<lib>:<pair>/<mate>" names. Returns false if the name does not

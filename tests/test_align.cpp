@@ -163,31 +163,26 @@ TEST(ContigStore, OwnershipIsById) {
 TEST(ContigStore, CacheReducesRemoteBytes) {
   const int p = 2;
   pgas::ThreadTeam team(pgas::Topology{p, 1});
-  const auto contigs = make_contigs(4, 7);
-  ContigStore cached(team);
-  ContigStore uncached(team);
-  uncached.set_cache_capacity(0);
+  const auto contigs = make_contigs(65, 7);
+  ContigStore store(team);
   team.run([&](pgas::Rank& rank) {
-    auto mine = rank.is_root() ? contigs : std::vector<dbg::Contig>{};
-    cached.build(rank, mine);
-    uncached.build(rank, mine);
+    store.build(rank, rank.is_root() ? contigs : std::vector<dbg::Contig>{});
   });
-  team.reset_stats();
-  team.run([&](pgas::Rank& rank) {
-    if (rank.id() != 1) return;
-    for (int round = 0; round < 50; ++round)
-      (void)cached.fetch(rank, 0, 0, 50);  // contig 0 owned by rank 0: remote
-  });
-  const auto with_cache = team.snapshot_all()[1].total_msgs();
-  team.reset_stats();
-  team.run([&](pgas::Rank& rank) {
-    if (rank.id() != 1) return;
-    for (int round = 0; round < 50; ++round)
-      (void)uncached.fetch(rank, 0, 0, 50);
-  });
-  const auto without_cache = team.snapshot_all()[1].total_msgs();
-  EXPECT_EQ(with_cache, 1u);
-  EXPECT_EQ(without_cache, 50u);
+  // Contigs 0 and 64 are owned by rank 0, so both are remote from rank 1.
+  auto rank1_msgs = [&](const std::vector<std::uint64_t>& ids) {
+    team.reset_stats();
+    team.run([&](pgas::Rank& rank) {
+      if (rank.id() != 1) return;
+      for (int round = 0; round < 50; ++round)
+        for (const auto id : ids) EXPECT_EQ(store.fetch(rank, id, 0, 7).size(), 7u);
+    });
+    return team.snapshot_all()[1].total_msgs();
+  };
+  // Repeats of one remote contig are served from rank 1's cache.
+  EXPECT_EQ(rank1_msgs({0}), 1u);
+  // 0 and 64 share a slot of the 64-slot direct-mapped cache, so
+  // alternating them (64 first: 0 is still cached) misses every time.
+  EXPECT_EQ(rank1_msgs({64, 0}), 100u);
 }
 
 // ---- MerAligner ----

@@ -11,6 +11,7 @@
 #include "io/parallel_fastq.hpp"
 #include "io/wire.hpp"
 #include "pgas/thread_team.hpp"
+#include "seq/read_name.hpp"
 #include "sim/genome_sim.hpp"
 
 namespace hipmer::io {
@@ -136,6 +137,40 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 101), std::make_tuple(4, 400),
                       std::make_tuple(7, 1000), std::make_tuple(16, 37),
                       std::make_tuple(8, 8), std::make_tuple(8, 3)));
+
+TEST(ParallelFastq, MatesOfAPairShareARank) {
+  TempDir dir;
+  // Interleaved pairs named "<lib>:<pair>/<mate>" with variable lengths, so
+  // nominal split points land anywhere, between mates included.
+  auto reads = make_reads(2 * 301, 30, 180, false, 17);
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    reads[i].name = "pe:" + std::to_string(i / 2) + "/" + std::to_string(i % 2);
+  const auto path = dir.file("pairs.fastq");
+  ASSERT_TRUE(write_fastq(path, reads));
+  for (const int nranks : {2, 3, 4, 7, 16}) {
+    pgas::ThreadTeam team(pgas::Topology{nranks, 2});
+    ParallelFastqReader reader(path, /*block_size=*/1024);
+    std::vector<seq::ReadStore> by_rank(static_cast<std::size_t>(nranks));
+    team.run([&](pgas::Rank& rank) {
+      reader.read_my_records(rank, by_rank[static_cast<std::size_t>(rank.id())]);
+    });
+    std::size_t total = 0;
+    for (const auto& part : by_rank) {
+      ASSERT_EQ(part.size() % 2, 0u) << nranks << " ranks";
+      for (std::size_t i = 0; i < part.size(); i += 2) {
+        std::uint64_t pair0 = 0, pair1 = 0;
+        int mate0 = -1, mate1 = -1;
+        ASSERT_TRUE(seq::parse_read_name(part.name(i), pair0, mate0));
+        ASSERT_TRUE(seq::parse_read_name(part.name(i + 1), pair1, mate1));
+        EXPECT_EQ(pair0, pair1);
+        EXPECT_EQ(mate0, 0);
+        EXPECT_EQ(mate1, 1);
+      }
+      total += part.size();
+    }
+    EXPECT_EQ(total, reads.size());
+  }
+}
 
 TEST(ParallelFastq, ChargesIoBytes) {
   TempDir dir;

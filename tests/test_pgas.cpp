@@ -517,29 +517,37 @@ TEST(AggregatingEngine, FlushesAtThresholdAndDrainsRoundRobin) {
   EXPECT_EQ(batches.size(), 3u);
 }
 
-TEST(ReadCache, LruEvictionAndCounters) {
-  ReadCache<std::uint64_t, int, std::hash<std::uint64_t>> cache(2);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  cache.insert(1, 100);
-  cache.insert(2, 200);
-  ASSERT_NE(cache.lookup(1), nullptr);  // 1 is now most recent
-  cache.insert(3, 300);                 // evicts 2 (LRU)
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  ASSERT_NE(cache.lookup(1), nullptr);
-  EXPECT_EQ(*cache.lookup(3), 300);
+TEST(ReadCache, DirectMappedEvictionAndCounters) {
+  // 3 slots round up to 4; the slot is the caller's hash mod 4.
+  ReadCache<std::uint64_t, int> cache(3);
+  EXPECT_EQ(cache.lookup(1, 1), nullptr);
+  cache.insert(1, 1, 100);
+  cache.insert(2, 2, 200);  // distinct slots coexist
+  ASSERT_NE(cache.lookup(1, 1), nullptr);
+  EXPECT_EQ(*cache.lookup(2, 2), 200);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.misses(), 2u);
+  cache.insert(5, 5, 500);  // slot 1 again: evicts key 1
+  EXPECT_EQ(cache.lookup(1, 1), nullptr);
+  EXPECT_EQ(*cache.lookup(5, 5), 500);
+  EXPECT_EQ(cache.size(), 2u);  // an overwrite occupies no new slot
+  cache.insert(1, 1, 101);      // and key 1 evicts key 5 back
+  EXPECT_EQ(cache.lookup(5, 5), nullptr);
+  EXPECT_EQ(*cache.lookup(1, 1), 101);
+  // The slot compare is on the key, not the hash: a different key with
+  // the same slot hash misses.
+  EXPECT_EQ(cache.lookup(9, 1), nullptr);
+  EXPECT_EQ(cache.hits(), 4u);
+  EXPECT_EQ(cache.misses(), 4u);
 }
 
 TEST(ReadCache, VersionChangeDropsEverything) {
-  ReadCache<std::uint64_t, int, std::hash<std::uint64_t>> cache(8);
+  ReadCache<std::uint64_t, int> cache(8);
   cache.check_version(1);
-  cache.insert(5, 50);
+  cache.insert(5, 5, 50);
   cache.check_version(1);  // unchanged version: cache intact
-  EXPECT_NE(cache.lookup(5), nullptr);
+  EXPECT_NE(cache.lookup(5, 5), nullptr);
   cache.check_version(2);  // table was written: everything goes
-  EXPECT_EQ(cache.lookup(5), nullptr);
+  EXPECT_EQ(cache.lookup(5, 5), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -629,9 +637,10 @@ TEST(DistHashMap, ReadCacheNeverServesStaleValues) {
       map.process_lookups(rank, capture);
       EXPECT_EQ(seen, 100u);
       // Cached now: a repeat lookup is a hit.
+      EXPECT_EQ(rank.stats().snapshot().read_cache_hits, 0u);
       map.find_buffered(rank, 7u, 0, capture);
       map.process_lookups(rank, capture);
-      EXPECT_EQ(map.read_cache_stats(rank.id()).hits, 1u);
+      EXPECT_EQ(rank.stats().snapshot().read_cache_hits, 1u);
     }
     rank.barrier();
     if (rank.id() == 1) map.update(rank, 7u, 999);  // write phase
@@ -649,6 +658,7 @@ TEST(DistHashMap, ReadCacheNeverServesStaleValues) {
       map.find_buffered(rank, 7u, 0, capture);
       map.process_lookups(rank, capture);
       EXPECT_EQ(seen, 999u) << "cache served a value across a write phase";
+      EXPECT_EQ(rank.stats().snapshot().read_cache_hits, 1u);
       map.disable_read_cache(rank);
     }
   });
@@ -661,29 +671,44 @@ TEST(DistHashMap, CachedBatchedLookupsCutOffnodeMessages) {
   const int p = 4;
   ThreadTeam team(Topology{p, 1});  // every rank its own node
   Map map(team, Map::Config{.global_capacity = 4096, .flush_threshold = 64});
-  auto remote_key = [p](int rank, std::uint64_t i) {
-    return i * static_cast<std::uint64_t>(p) +
-           static_cast<std::uint64_t>((rank + 1) % p);
+  // The direct-mapped cache answers every repeat only for a working set
+  // with no two keys in one slot (slot = fmix64 of the key hash; the
+  // ReadCache tests cover conflicting keys), so each rank probes the first
+  // 100 keys owned by its right neighbour that land in distinct slots.
+  constexpr std::size_t kCacheSlots = 4096;
+  std::vector<std::vector<std::uint64_t>> keys(p);
+  for (int r = 0; r < p; ++r) {
+    std::set<std::uint64_t> slots;
+    for (std::uint64_t i = 0; keys[static_cast<std::size_t>(r)].size() < 100;
+         ++i) {
+      const std::uint64_t key = i * static_cast<std::uint64_t>(p) +
+                                static_cast<std::uint64_t>((r + 1) % p);
+      const std::uint64_t slot =
+          util::fmix64(std::hash<std::uint64_t>{}(key)) & (kCacheSlots - 1);
+      if (slots.insert(slot).second)
+        keys[static_cast<std::size_t>(r)].push_back(key);
+    }
+  }
+  auto probes = [&](const Rank& rank) -> const std::vector<std::uint64_t>& {
+    return keys[static_cast<std::size_t>(rank.id())];
   };
   team.run([&](Rank& rank) {
-    for (std::uint64_t i = 0; i < 100; ++i)
-      map.update(rank, remote_key((rank.id() + p - 1) % p, i), 1);
+    for (const auto key : keys[static_cast<std::size_t>((rank.id() + p - 1) % p)])
+      map.update(rank, key, 1);
   });
   team.reset_stats();
   const int rounds = 20;
   auto sink = [](const std::uint64_t&, const std::uint64_t*, std::uint64_t) {};
   team.run([&](Rank& rank) {
     for (int round = 0; round < rounds; ++round)
-      for (std::uint64_t i = 0; i < 100; ++i)
-        (void)map.find(rank, remote_key(rank.id(), i));
+      for (const auto key : probes(rank)) (void)map.find(rank, key);
   });
   const auto fine = team.snapshot_all();
   team.reset_stats();
   team.run([&](Rank& rank) {
-    map.enable_read_cache(rank, 4096);
+    map.enable_read_cache(rank, kCacheSlots);
     for (int round = 0; round < rounds; ++round) {
-      for (std::uint64_t i = 0; i < 100; ++i)
-        map.find_buffered(rank, remote_key(rank.id(), i), i, sink);
+      for (const auto key : probes(rank)) map.find_buffered(rank, key, 0, sink);
       map.process_lookups(rank, sink);  // round 1's replies fill the cache
     }
     map.disable_read_cache(rank);

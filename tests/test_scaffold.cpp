@@ -134,6 +134,28 @@ TEST(Splints, RespectsOrientationAndEndConditions) {
   EXPECT_EQ(observations[0].b, (ContigEnd{4, 1}));
 }
 
+TEST(Splints, ReadsOfDifferentLibrariesSharingAPairIdStayApart) {
+  pgas::ThreadTeam team(pgas::Topology{1, 1});
+  std::vector<ReadAlignment> alignments;
+  // Library 0, pair 1, mate 0: a real splint from contig 5 into contig 9.
+  alignments.push_back(make_alignment(1, 0, 5, 500, 440, 500, true, 0, 60, 100, 0));
+  alignments.push_back(make_alignment(1, 0, 9, 700, 0, 60, true, 40, 100, 100, 0));
+  // Library 1's read with the same pair id and mate sits inside contig 7;
+  // merged with library 0's read it would split the real splint.
+  alignments.push_back(make_alignment(1, 0, 7, 1000, 400, 460, true, 20, 80, 100, 1));
+  // Pair 2, mate 0 in libraries 1 and 2: one read leaves contig 11, the
+  // other enters contig 12. Merged, they would invent a splint.
+  alignments.push_back(make_alignment(2, 0, 11, 500, 440, 500, true, 0, 60, 100, 1));
+  alignments.push_back(make_alignment(2, 0, 12, 700, 0, 60, true, 40, 100, 100, 2));
+  std::vector<LinkObservation> observations;
+  team.run([&](pgas::Rank& rank) {
+    observations = locate_splints(rank, alignments);
+  });
+  ASSERT_EQ(observations.size(), 1u);
+  EXPECT_EQ(observations[0].a, (ContigEnd{5, 1}));
+  EXPECT_EQ(observations[0].b, (ContigEnd{9, 0}));
+}
+
 TEST(Spans, GapEstimateFromInsertSize) {
   pgas::ThreadTeam team(pgas::Topology{4, 2});
   std::vector<InsertSizeEstimate> inserts(1);

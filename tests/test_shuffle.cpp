@@ -278,6 +278,19 @@ TEST(ReadShuffle, ByteIdenticalUnderChaosAndMultipleRounds) {
   EXPECT_EQ(run_pipeline(4, cfg, ds), baseline);
 }
 
+TEST(ReadShuffle, MultiLibraryWheatByteIdenticalOverRounds) {
+  // Five libraries number their pairs independently, and the shuffle puts
+  // reads of different libraries that share a pair id on one rank. Splint
+  // detection must keep them apart for the output not to depend on it.
+  auto ds = sim::make_wheat_like(200000, 1002);
+  pipeline::PipelineConfig cfg;
+  cfg.scaffolding_rounds = 2;
+  const auto baseline = run_pipeline(4, cfg, ds);
+  ASSERT_FALSE(baseline.empty());
+  cfg.shuffle_reads = true;
+  EXPECT_EQ(run_pipeline(4, cfg, ds), baseline);
+}
+
 TEST(ReadShuffle, GapClosingSendsFewerOffNodeMessages) {
   auto ds = sim::make_human_like(40000, 4244, 18.0);
   auto cfg = base_config();
