@@ -17,7 +17,12 @@
 // (`word`), in ns per key; and a `misra_gries_offer` row: the node-based
 // sketch kcount used to keep (`ref`, kept here only as the reference)
 // against the flat kcount::MisraGries (`word`), in ns per offer of one
-// rank's human-workload canonical 31-mer stream at θ = 32768.
+// rank's human-workload canonical 31-mer stream at θ = 32768; and a
+// `heavy_hitter_probe` row: the `std::unordered_set` kcount used to probe
+// (`ref`, kept here only as the reference) against the flat
+// kcount::HeavyHitterIndex (`word`), in ns per probe of one rank's
+// wheat-workload canonical 31-mer stream against that workload's real
+// heavy-hitter set.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +32,7 @@
 #include <random>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "align/smith_waterman.hpp"
@@ -569,6 +575,73 @@ void write_kernel_csv() {
     std::printf("misra_gries_offer: %zu offers, theta %zu\n", stream.size(),
                 theta);
     table.add_row({"misra_gries_offer", "31", util::TextTable::fmt(ref_ns, 2),
+                   util::TextTable::fmt(word_ns, 2),
+                   util::TextTable::fmt(ref_ns / word_ns, 2),
+                   util::TextTable::fmt(1e3 / word_ns, 1)});
+  }
+  // Heavy-hitter probes: one rank's share (every 4th read) of the 500 kbp
+  // wheat-like workload's contigging libraries, probed against the heavy
+  // hitters k-mer analysis finds there at 4 ranks and θ = 32768. Both loops
+  // hash each k-mer once, as the passes do to pick its owner; only the flat
+  // index reuses that hash.
+  {
+    const auto ds = sim::make_wheat_like(500'000);
+    std::vector<seq::ReadStore> stores(4);
+    std::vector<KmerT> stream;
+    std::size_t nth = 0;
+    for (std::size_t lib = 0; lib < ds.libraries.size(); ++lib) {
+      if (ds.libraries[lib].name.rfind("mp", 0) == 0) continue;
+      for (const auto& read : ds.reads[lib]) {
+        if (nth % 4 == 0)
+          for (seq::KmerScanner<KmerT::kMaxK> it(read.seq, 31); !it.done();
+               it.next())
+            stream.push_back(it.canonical());
+        stores[nth++ % 4].append(read);
+      }
+    }
+    pgas::ThreadTeam team(pgas::Topology{4, 2});
+    kcount::KmerAnalysis ka(team, kcount::KmerAnalysisConfig{});
+    team.run([&](pgas::Rank& rank) {
+      ka.run(rank, {stores[static_cast<std::size_t>(rank.id())]});
+    });
+    const auto& heavy = ka.heavy_hitters();
+    std::unordered_set<KmerT, seq::KmerHashT> set;
+    for (const auto& [km, count] : heavy) set.insert(km);
+    const kcount::HeavyHitterIndex<KmerT, seq::KmerHashT> index(heavy);
+    std::size_t ref_hits = 0;
+    std::size_t word_hits = 0;
+    const double ref_ns = ns_per_op(
+        [&] {
+          std::uint64_t acc = 0;
+          std::size_t hits = 0;
+          for (const auto& km : stream) {
+            acc ^= km.hash();
+            hits += set.contains(km) ? 1 : 0;
+          }
+          benchmark::DoNotOptimize(acc);
+          ref_hits = hits;
+        },
+        stream.size());
+    const double word_ns = ns_per_op(
+        [&] {
+          std::uint64_t acc = 0;
+          std::size_t hits = 0;
+          for (const auto& km : stream) {
+            const std::uint64_t h = km.hash();
+            acc ^= h;
+            hits += index.find(km, h) != index.kAbsent ? 1 : 0;
+          }
+          benchmark::DoNotOptimize(acc);
+          word_hits = hits;
+        },
+        stream.size());
+    if (ref_hits != word_hits)
+      std::fprintf(stderr,
+                   "heavy_hitter_probe: hit counts differ (%zu vs %zu)\n",
+                   ref_hits, word_hits);
+    std::printf("heavy_hitter_probe: %zu probes, %zu heavy hitters, %zu hits\n",
+                stream.size(), heavy.size(), word_hits);
+    table.add_row({"heavy_hitter_probe", "31", util::TextTable::fmt(ref_ns, 2),
                    util::TextTable::fmt(word_ns, 2),
                    util::TextTable::fmt(ref_ns / word_ns, 2),
                    util::TextTable::fmt(1e3 / word_ns, 1)});

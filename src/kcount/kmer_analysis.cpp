@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "seq/kmer_scanner.hpp"
+#include "util/timer.hpp"
 
 namespace hipmer::kcount {
 
@@ -17,22 +18,35 @@ KmerAnalysis::KmerAnalysis(pgas::ThreadTeam& team, KmerAnalysisConfig config)
   distinct_per_rank_.assign(p, 0);
   instances_per_rank_.assign(p, 0);
   blooms_.resize(p);
+  repeat_blooms_.resize(p);
 }
 
 KmerAnalysis::~KmerAnalysis() = default;
 
-std::uint32_t KmerAnalysis::owner_of(const KmerT& km) const {
-  return static_cast<std::uint32_t>(km.hash() %
+std::uint32_t KmerAnalysis::owner_of(std::uint64_t hash) const {
+  return static_cast<std::uint32_t>(hash %
                                     static_cast<std::uint64_t>(team_.nranks()));
 }
 
 void KmerAnalysis::run(pgas::Rank& rank,
                        const std::vector<seq::ReadSetView>& read_sets) {
+  // Every pass ends with a barrier, so rank 0's clock read after it covers
+  // the whole team's pass; no collective is added for the timing.
+  util::WallTimer clock;
+  const auto lap = [&](double& seconds) {
+    if (!rank.is_root()) return;
+    seconds = clock.seconds();
+    clock.reset();
+  };
   sketch_pass(rank, read_sets);
+  lap(pass_seconds_.sketch);
   allocate(rank);
   if (config_.use_bloom) candidate_pass(rank, read_sets);
+  lap(pass_seconds_.candidate);
   counting_pass(rank, read_sets);
+  lap(pass_seconds_.count);
   finalize(rank);
+  lap(pass_seconds_.finalize);
 }
 
 void KmerAnalysis::sketch_pass(
@@ -50,10 +64,12 @@ void KmerAnalysis::sketch_pass(
         hll.add_hash(hash);
         if (config_.use_heavy_hitters) mg.offer(canon, hash, 1);
         ++instances;
-        rank.stats().add_work();
       }
     }
   }
+  // One work unit per instance, charged once: CommStats counters are
+  // atomics, too dear to bump per k-mer.
+  rank.stats().add_work(instances);
   instances_per_rank_[static_cast<std::size_t>(rank.id())] = instances;
 
   // Global cardinality: merge every rank's HLL registers.
@@ -94,7 +110,7 @@ void KmerAnalysis::sketch_pass(
   std::vector<std::vector<HeavyItem>> outgoing(
       static_cast<std::size_t>(rank.nranks()));
   for (const auto& [kmer, count] : mg.items()) {
-    outgoing[owner_of(kmer)].push_back(HeavyItem{kmer, count});
+    outgoing[owner_of(kmer.hash())].push_back(HeavyItem{kmer, count});
     rank.stats().add_work();
   }
   const auto incoming = rank.alltoallv(outgoing);
@@ -117,12 +133,9 @@ void KmerAnalysis::sketch_pass(
   // process of a multi-process team builds its own copy from the same
   // allgatherv result.
   if (rank.is_root() || team_.multiprocess()) {
-    hh_set_.clear();
     heavy_hitters_.clear();
-    for (const auto& item : global_heavy) {
-      hh_set_.insert(item.kmer);
+    for (const auto& item : global_heavy)
       heavy_hitters_.emplace_back(item.kmer, item.count);
-    }
     // Count descending, then k-mer ascending: one order whatever the
     // layout of the sketches and tables the items passed through.
     std::sort(heavy_hitters_.begin(), heavy_hitters_.end(),
@@ -130,6 +143,7 @@ void KmerAnalysis::sketch_pass(
                 return a.second != b.second ? a.second > b.second
                                             : a.first < b.first;
               });
+    hh_index_ = HeavyIndex(heavy_hitters_);
   }
   rank.barrier();
 }
@@ -153,9 +167,17 @@ void KmerAnalysis::allocate(pgas::Rank& rank) {
     if (config_.use_bloom) {
       const std::size_t per_rank =
           est / static_cast<std::size_t>(team_.nranks()) + 1024;
-      for (std::size_t b = 0; b < blooms_.size(); ++b)
-        if (!team_.multiprocess() || team_.is_local(static_cast<int>(b)))
-          blooms_[b] = std::make_unique<BloomFilter>(per_rank);
+      for (std::size_t b = 0; b < blooms_.size(); ++b) {
+        if (team_.multiprocess() && !team_.is_local(static_cast<int>(b)))
+          continue;
+        blooms_[b] = std::make_unique<BloomFilter>(per_rank);
+        repeat_blooms_[b] = std::make_unique<BloomFilter>(per_rank);
+      }
+      // A counting-pass store whose k-mer is not in the table yet inserts
+      // it only if its owner sighted it twice in the candidate pass.
+      table_->set_admission([this](std::uint32_t owner, std::uint64_t hash) {
+        return repeat_blooms_[owner]->test(hash);
+      });
     }
   }
   rank.barrier();
@@ -163,13 +185,15 @@ void KmerAnalysis::allocate(pgas::Rank& rank) {
 
 void KmerAnalysis::candidate_pass(
     pgas::Rank& rank, const std::vector<seq::ReadSetView>& read_sets) {
-  BloomFilter& my_bloom = *blooms_[static_cast<std::size_t>(rank.id())];
+  const auto me = static_cast<std::size_t>(rank.id());
+  BloomFilter& seen = *blooms_[me];
+  BloomFilter& repeats = *repeat_blooms_[me];
   std::uint64_t distinct = 0;
 
   std::vector<std::vector<KmerT>> outgoing(
       static_cast<std::size_t>(rank.nranks()));
-  std::vector<Map::StoreOp> admitted;
   std::size_t buffered = 0;
+  std::size_t scanned = 0;
   std::size_t set_idx = 0;
   std::size_t read_idx = 0;
   seq::KmerScanner<KmerT::kMaxK> it("", config_.k);
@@ -207,13 +231,16 @@ void KmerAnalysis::candidate_pass(
         continue;
       }
       const KmerT& canon = it.canonical();
-      if (!config_.use_heavy_hitters || !hh_set_.contains(canon)) {
-        outgoing[owner_of(canon)].push_back(canon);
+      const std::uint64_t hash = canon.hash();
+      if (hh_index_.find(canon, hash) == HeavyIndex::kAbsent) {
+        outgoing[owner_of(hash)].push_back(canon);
         ++buffered;
       }
-      rank.stats().add_work();
+      ++scanned;
       it.next();
     }
+    rank.stats().add_work(scanned);
+    scanned = 0;
 
     const int more_here = (buffered > 0 || !stream_exhausted() ||
                            (it_active && !it.done()))
@@ -225,32 +252,30 @@ void KmerAnalysis::candidate_pass(
     for (auto& v : outgoing) v.clear();
     buffered = 0;
 
-    // Owner-side: Bloom test-and-set; admit on second sighting. Each
-    // k-mer is hashed once, for both the filter and the table, and the
-    // admitted ones go into the owner's shard as one prefetched batch.
-    admitted.clear();
+    // Owner-side: a first sighting sets the first filter; a second one
+    // (a hit there) sets the second filter, which the counting pass's
+    // admission reads. The table is not touched.
     for (const KmerT& km : incoming) {
       const std::uint64_t h = km.hash();
-      if (my_bloom.test_and_set(h)) {
-        admitted.push_back(Map::StoreOp{h, km, KmerTally{},
-                                        Map::Policy::kInsert});
-      } else {
+      if (seen.test_and_set(h))
+        repeats.test_and_set(h);
+      else
         ++distinct;
-      }
     }
     rank.stats().add_work(incoming.size());
-    table_->update_owned(rank, admitted);
   }
-  distinct_per_rank_[static_cast<std::size_t>(rank.id())] = distinct;
+  distinct_per_rank_[me] = distinct;
   rank.barrier();
 }
 
 void KmerAnalysis::counting_pass(
     pgas::Rank& rank, const std::vector<seq::ReadSetView>& read_sets) {
-  const auto policy = config_.use_bloom ? Map::Policy::kIfPresent
-                                        : Map::Policy::kInsert;
-  std::unordered_map<KmerT, KmerTally, seq::KmerHashT> local_heavy;
+  const auto policy =
+      config_.use_bloom ? Map::Policy::kAdmit : Map::Policy::kInsert;
+  // Heavy-hitter tallies, by position in heavy_hitters_.
+  std::vector<KmerTally> local_heavy(heavy_hitters_.size());
   std::string qual_scratch;
+  std::uint64_t instances = 0;
 
   for (const seq::ReadStore& set : read_sets)
   for (std::size_t r = 0; r < set.size(); ++r) {
@@ -285,14 +310,17 @@ void KmerAnalysis::counting_pass(
       }
 
       const KmerT& canon = it.canonical();
-      rank.stats().add_work();
-      if (config_.use_heavy_hitters && hh_set_.contains(canon)) {
-        local_heavy[canon].merge(tally);  // local accumulation
+      const std::uint64_t hash = canon.hash();
+      ++instances;
+      if (const std::uint32_t hh = hh_index_.find(canon, hash);
+          hh != HeavyIndex::kAbsent) {
+        local_heavy[hh].merge(tally);  // local accumulation
       } else {
-        table_->update_buffered(rank, canon, tally, policy);
+        table_->update_buffered(rank, canon, hash, tally, policy);
       }
     }
   }
+  rank.stats().add_work(instances);
   table_->flush(rank);
   rank.barrier();
 
@@ -303,8 +331,12 @@ void KmerAnalysis::counting_pass(
   if (config_.use_heavy_hitters) {
     std::vector<std::vector<TallyItem>> outgoing(
         static_cast<std::size_t>(rank.nranks()));
-    for (const auto& [kmer, tally] : local_heavy) {
-      outgoing[owner_of(kmer)].push_back(TallyItem{kmer, tally});
+    // Only the heavy hitters this rank saw ship, one item each.
+    for (std::size_t i = 0; i < local_heavy.size(); ++i) {
+      if (local_heavy[i].count == 0) continue;
+      const KmerT& kmer = heavy_hitters_[i].first;
+      outgoing[owner_of(kmer.hash())].push_back(
+          TallyItem{kmer, local_heavy[i]});
       rank.stats().add_work();
     }
     const auto incoming = rank.alltoallv(outgoing);
@@ -314,10 +346,15 @@ void KmerAnalysis::counting_pass(
     }
     // Heavy hitters are distinct k-mers the Bloom pass never saw; `incoming`
     // holds one item per (source rank, k-mer), so count distinct keys.
-    std::unordered_set<KmerT, seq::KmerHashT> distinct_hh;
-    for (const auto& item : incoming) distinct_hh.insert(item.kmer);
-    distinct_per_rank_[static_cast<std::size_t>(rank.id())] +=
-        distinct_hh.size();
+    std::vector<bool> arrived(heavy_hitters_.size(), false);
+    std::uint64_t distinct_hh = 0;
+    for (const auto& item : incoming) {
+      const std::uint32_t hh = hh_index_.find(item.kmer, item.kmer.hash());
+      assert(hh != HeavyIndex::kAbsent);
+      if (!arrived[hh]) ++distinct_hh;
+      arrived[hh] = true;
+    }
+    distinct_per_rank_[static_cast<std::size_t>(rank.id())] += distinct_hh;
     rank.barrier();
   }
 }
@@ -379,8 +416,9 @@ std::size_t KmerAnalysis::table_entries() const {
 
 std::size_t KmerAnalysis::bloom_bytes() const {
   std::size_t total = 0;
-  for (const auto& b : blooms_)
-    if (b) total += b->size_bytes();
+  for (const auto* filters : {&blooms_, &repeat_blooms_})
+    for (const auto& b : *filters)
+      if (b) total += b->size_bytes();
   return total;
 }
 

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "kcount/bloom_filter.hpp"
+#include "kcount/heavy_hitter_index.hpp"
 #include "kcount/hyperloglog.hpp"
 #include "kcount/kmer_tally.hpp"
 #include "kcount/misra_gries.hpp"
@@ -24,20 +24,27 @@
 ///     Misra–Gries summary (heavy-hitter candidates). MG partial counts are
 ///     routed to each k-mer's owner and summed (mergeable summaries /
 ///     Cafaro–Tempesta); k-mers whose summed lower-bound count crosses the
-///     threshold become the replicated heavy-hitter set.
+///     threshold become the replicated heavy-hitter list, indexed by a flat
+///     HeavyHitterIndex.
 ///  1. **Candidate pass** — every non-heavy k-mer instance is routed to its
-///     owner (chunked all-to-all = aggregated messages); the owner runs the
-///     Bloom filter test-and-set and admits a k-mer into the candidate
-///     table on its second sighting, keeping singletons (overwhelmingly
-///     sequencing errors) out of the main table.
+///     owner (chunked all-to-all = aggregated messages). The owner keeps two
+///     Bloom filters: a hit in the first one's test-and-set is a second
+///     sighting, which sets the k-mer in the second filter. Nothing is
+///     written to the table.
 ///  2. **Counting pass** — k-mer instances with their quality-filtered
 ///     neighbor bases are merged into the owners' tallies via the
-///     aggregating-stores path. Heavy hitters are instead accumulated in a
-///     rank-local map ("the high frequency k-mers are accumulated locally,
-///     followed by a final global reduction") and exchanged once at the
-///     end — this is the optimization Figure 6 measures.
+///     aggregating-stores path. A store whose k-mer is not yet in the table
+///     inserts it only if the owner's second filter holds it (the table's
+///     admission policy), so singletons (overwhelmingly sequencing errors)
+///     stay out of the main table. Heavy hitters are instead accumulated in
+///     a rank-local tally vector ("the high frequency k-mers are accumulated
+///     locally, followed by a final global reduction") and exchanged once at
+///     the end — this is the optimization Figure 6 measures.
 ///  3. **Finalize** — below-threshold k-mers are discarded and extension
 ///     tallies collapse into UFX records (depth + two-letter code).
+///
+/// Each instance is hashed once per pass on its rank; that hash picks the
+/// owner, probes the heavy-hitter index and travels with the store.
 namespace hipmer::kcount {
 
 struct KmerAnalysisConfig {
@@ -68,10 +75,21 @@ struct KmerAnalysisConfig {
   std::size_t chunk_kmers = 32768;
 };
 
+/// Wall seconds of each pass of the last `run()`, read by rank 0 after the
+/// barrier that ends the pass. `candidate` includes sizing the table and
+/// filters, and is that alone when the Bloom filter is off.
+struct KmerPassSeconds {
+  double sketch = 0.0;
+  double candidate = 0.0;
+  double count = 0.0;
+  double finalize = 0.0;
+};
+
 class KmerAnalysis {
  public:
   using Map = pgas::DistHashMap<seq::KmerT, KmerTally, seq::KmerHashT,
                                 KmerTallyMerge>;
+  using HeavyIndex = HeavyHitterIndex<seq::KmerT, seq::KmerHashT>;
 
   KmerAnalysis(pgas::ThreadTeam& team, KmerAnalysisConfig config);
   ~KmerAnalysis();
@@ -111,6 +129,10 @@ class KmerAnalysis {
   heavy_hitters() const noexcept {
     return heavy_hitters_;
   }
+  /// Maps each heavy hitter to its position in `heavy_hitters()`.
+  [[nodiscard]] const HeavyIndex& heavy_hitter_index() const noexcept {
+    return hh_index_;
+  }
   /// k-mer count histogram (index = count, capped at 255), global.
   [[nodiscard]] const std::vector<std::uint64_t>& histogram() const noexcept {
     return histogram_;
@@ -126,7 +148,11 @@ class KmerAnalysis {
   [[nodiscard]] std::size_t peak_table_entries() const noexcept {
     return peak_table_entries_;
   }
+  /// Both Bloom filters of every rank, in bytes.
   [[nodiscard]] std::size_t bloom_bytes() const;
+  [[nodiscard]] const KmerPassSeconds& pass_seconds() const noexcept {
+    return pass_seconds_;
+  }
   [[nodiscard]] const KmerAnalysisConfig& config() const noexcept {
     return config_;
   }
@@ -150,17 +176,22 @@ class KmerAnalysis {
                      const std::vector<seq::ReadSetView>& read_sets);
   void finalize(pgas::Rank& rank);
 
-  [[nodiscard]] std::uint32_t owner_of(const seq::KmerT& km) const;
+  [[nodiscard]] std::uint32_t owner_of(std::uint64_t hash) const;
 
   pgas::ThreadTeam& team_;
   KmerAnalysisConfig config_;
 
   std::unique_ptr<Map> table_;
+  // Per owner rank: first sightings (owner-only, single writer), and
+  // k-mers sighted at least twice (written by the owner in the candidate
+  // pass, read by any rank's stores only after that pass's barrier).
   std::vector<std::unique_ptr<BloomFilter>> blooms_;
+  std::vector<std::unique_ptr<BloomFilter>> repeat_blooms_;
 
-  // Replicated heavy-hitter set (read-only after the sketch pass).
-  std::unordered_set<seq::KmerT, seq::KmerHashT> hh_set_;
+  // Replicated heavy hitters and their index (read-only after the sketch
+  // pass).
   std::vector<std::pair<seq::KmerT, std::uint64_t>> heavy_hitters_;
+  HeavyIndex hh_index_;
 
   // Per-rank outputs / partials (indexed by rank id).
   std::vector<std::vector<std::pair<seq::KmerT, KmerSummary>>> ufx_;
@@ -173,6 +204,7 @@ class KmerAnalysis {
   std::uint64_t total_instances_ = 0;
   double singleton_fraction_ = 0.0;
   std::vector<std::uint64_t> histogram_;
+  KmerPassSeconds pass_seconds_;
 };
 
 }  // namespace hipmer::kcount

@@ -13,7 +13,6 @@
 #include <memory>
 #include <new>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -187,9 +186,22 @@ class DistHashMap {
   // ---- fine-grained one-sided path ----
 
   /// Insert policy for update operations: find-or-insert (default), or
-  /// merge-only-if-present (used by k-mer counting pass B, where membership
-  /// was decided by the Bloom-filtered pass A and singletons must stay out).
-  enum class Policy { kInsert, kIfPresent };
+  /// admit-on-miss: an op whose key is absent inserts it only if the
+  /// table's admission test (`set_admission`) passes it at the owner. The
+  /// k-mer counting pass keeps singletons out this way, admitting only keys
+  /// the owner's Bloom filters saw twice.
+  enum class Policy { kInsert, kAdmit };
+
+  /// Owner-side admission test for Policy::kAdmit: (owner rank, key hash)
+  /// -> insert the missing key? Runs where the op applies, under the key's
+  /// bucket lock, and only when the key is absent.
+  using Admission =
+      std::function<bool(std::uint32_t owner, std::uint64_t hash)>;
+
+  /// Install the admission test Policy::kAdmit ops consult on a miss. Must
+  /// be called outside concurrent access, in every process of a
+  /// multi-process team (inbound batches apply in the owner's process).
+  void set_admission(Admission admit) { admit_ = std::move(admit); }
 
   /// One store: the key's hash travels with it, so neither the owner nor a
   /// batch apply hashes it again.
@@ -210,31 +222,8 @@ class DistHashMap {
     const std::uint64_t h = Hash{}(key);
     const std::uint32_t owner = owner_of_hash(h);
     rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
-    Shard& shard = shards_[owner];
-    if (apply_update(shard, h, key, delta, policy))
-      shard.size.fetch_add(1, std::memory_order_relaxed);
-    bump_version();
-  }
-
-  /// Owner-local batched find-or-insert of ops whose hashes the caller
-  /// already holds (k-mer counting admits Bloom-passed k-mers this way).
-  /// Every op must belong to this rank. Charged exactly like one update()
-  /// per op; the bucket of op i+kPrefetchDistance is prefetched while op i
-  /// applies.
-  void update_owned(Rank& rank, std::span<const StoreOp> ops
-                        HIPMER_SITE_DEFAULT) {
-    if (ops.empty()) return;
-#if defined(HIPMER_CHECKED)
-    checked_.on_store(rank.id(), CheckedTable::Path::kFine,
-                      to_site(hipmer_site));
-#endif
-    const auto me = static_cast<std::uint32_t>(rank.id());
-    assert(std::ranges::all_of(ops, [&](const StoreOp& op) {
-      return owner_of_hash(op.hash) == me;
-    }));
-    rank.charge_message(rank.id(), ops.size() * (sizeof(K) + sizeof(V)),
-                        ops.size());
-    apply_ops(shards_[me], ops);
+    if (apply_update(owner, h, key, delta, policy))
+      shards_[owner].size.fetch_add(1, std::memory_order_relaxed);
     bump_version();
   }
 
@@ -265,11 +254,19 @@ class DistHashMap {
   /// automatically at the batch threshold.
   void update_buffered(Rank& rank, const K& key, const V& delta,
                        Policy policy = Policy::kInsert HIPMER_SITE_DEFAULT) {
+    update_buffered(rank, key, Hash{}(key), delta,
+                    policy HIPMER_SITE_FWD);
+  }
+
+  /// As above, with `hash == Hash{}(key)` already computed by the caller.
+  void update_buffered(Rank& rank, const K& key, std::uint64_t h,
+                       const V& delta,
+                       Policy policy = Policy::kInsert HIPMER_SITE_DEFAULT) {
 #if defined(HIPMER_CHECKED)
     checked_.on_store(rank.id(), CheckedTable::Path::kBatched,
                       to_site(hipmer_site));
 #endif
-    const std::uint64_t h = Hash{}(key);
+    assert(h == Hash{}(key));
     const std::uint32_t owner = owner_of_hash(h);
     store_engine_.enqueue(rank.id(), owner, StoreOp{h, key, delta, policy},
                           [&](std::uint32_t dest, std::vector<StoreOp>& ops) {
@@ -768,17 +765,18 @@ class DistHashMap {
     bucket.chain_size = n + 1;
   }
 
-  /// Find-or-insert `key` and merge `delta`; true when a new entry was
-  /// added (the caller maintains the shard's size).
-  static bool apply_update(Shard& shard, std::uint64_t h, const K& key,
-                           const V& delta, Policy policy) {
+  /// Find-or-insert `key` into `owner`'s shard and merge `delta`; true
+  /// when a new entry was added (the caller maintains the shard's size).
+  bool apply_update(std::uint32_t owner, std::uint64_t h, const K& key,
+                    const V& delta, Policy policy) {
+    Shard& shard = shards_[owner];
     Bucket& bucket = bucket_of(shard, h);
     SpinGuard guard(bucket.lock);
     if (Entry* e = find_in_bucket(bucket, key)) {
       Merge{}(e->value, delta);
       return false;
     }
-    if (policy == Policy::kIfPresent) return false;
+    if (policy == Policy::kAdmit && !admit_(owner, h)) return false;
     if (bucket.count < Bucket::kInline) {
       bucket.slots[bucket.count] = Entry{key, delta};
       ++bucket.count;
@@ -788,25 +786,22 @@ class DistHashMap {
     return true;
   }
 
-  /// Apply `ops` in order to one shard, prefetching ahead.
-  static void apply_ops(Shard& shard, std::span<const StoreOp> ops) {
+  /// One aggregated store message: charge once, then apply every op in
+  /// order to `dest`'s shard, prefetching ahead.
+  void apply_store_batch(Rank& rank, std::uint32_t dest,
+                         std::vector<StoreOp>& ops) {
+    rank.charge_message(static_cast<int>(dest),
+                        ops.size() * (sizeof(K) + sizeof(V)), ops.size());
+    Shard& shard = shards_[dest];
     std::size_t inserted = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (i + kPrefetchDistance < ops.size())
         prefetch_bucket(shard, ops[i + kPrefetchDistance].hash);
       const StoreOp& op = ops[i];
-      if (apply_update(shard, op.hash, op.key, op.delta, op.policy))
+      if (apply_update(dest, op.hash, op.key, op.delta, op.policy))
         ++inserted;
     }
     shard.size.fetch_add(inserted, std::memory_order_relaxed);
-  }
-
-  /// One aggregated store message: charge once, apply every op.
-  void apply_store_batch(Rank& rank, std::uint32_t dest,
-                         std::vector<StoreOp>& ops) {
-    rank.charge_message(static_cast<int>(dest),
-                        ops.size() * (sizeof(K) + sizeof(V)), ops.size());
-    apply_ops(shards_[dest], ops);
     bump_version();
   }
 
@@ -848,6 +843,7 @@ class DistHashMap {
   Config cfg_;
   std::uint32_t nranks_;
   RankMapper mapper_;
+  Admission admit_;
   std::vector<Shard> shards_;
   AggregatingEngine<StoreOp> store_engine_;
   AggregatingEngine<LookupReq> lookup_engine_;

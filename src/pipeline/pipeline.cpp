@@ -56,8 +56,13 @@ std::string PipelineResult::format_stages() const {
     if (std::find(names.begin(), names.end(), s.name) == names.end())
       names.push_back(s.name);
   for (const auto& name : names) {
-    os << "  " << name << ": wall " << wall_for(name) << "s, modeled "
-       << modeled_for(name) << "s\n";
+    os << "  " << name << ": wall " << wall_for(name) << "s";
+    if (name == kStageKmerAnalysis && kmer_passes) {
+      os << " (sketch " << kmer_passes->sketch << "s candidate "
+         << kmer_passes->candidate << "s count " << kmer_passes->count
+         << "s finalize " << kmer_passes->finalize << "s)";
+    }
+    os << ", modeled " << modeled_for(name) << "s\n";
   }
   return os.str();
 }
@@ -468,6 +473,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
     aux.distinct_kmers = kmer_analysis->distinct_kmers();
     aux.singleton_fraction = kmer_analysis->singleton_fraction();
     aux.heavy_hitters = kmer_analysis->heavy_hitters().size();
+    result.kmer_passes = kmer_analysis->pass_seconds();
     snapshot_stage(stages, ckpt::kStageUfx, aux, [&](pgas::Rank& rank) {
       return ckpt::encode_ufx_shard(kmer_analysis->ufx(rank.id()));
     });

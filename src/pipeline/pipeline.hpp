@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -151,12 +152,17 @@ struct PipelineResult {
 
   /// Stages in execution order; repeated stage names (rounds) accumulate.
   std::vector<StageReport> stages;
+  /// Per-pass wall seconds of the k-mer analysis this run performed (none
+  /// when its UFX came from a checkpoint or the artifact cache).
+  std::optional<kcount::KmerPassSeconds> kmer_passes;
 
   [[nodiscard]] double wall_total() const;
   [[nodiscard]] double modeled_total() const;
   [[nodiscard]] double wall_for(const std::string& stage) const;
   [[nodiscard]] double modeled_for(const std::string& stage) const;
-  /// Short human-readable per-stage summary.
+  /// Short human-readable per-stage summary, one line per stage
+  /// ("  <stage>: wall <s>s, modeled <s>s"); the k-mer analysis line
+  /// carries its per-pass walls after the stage wall, with no comma.
   [[nodiscard]] std::string format_stages() const;
 };
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <map>
 #include <random>
+#include <set>
 #include <unordered_map>
 
 #include "kcount/bloom_filter.hpp"
@@ -346,6 +347,7 @@ struct AnalysisResult {
   std::uint64_t distinct = 0;
   double singleton_fraction = 0;
   std::size_t heavy_count = 0;
+  std::vector<std::uint64_t> histogram;
 };
 
 AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
@@ -368,6 +370,7 @@ AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
   result.distinct = ka.distinct_kmers();
   result.singleton_fraction = ka.singleton_fraction();
   result.heavy_count = ka.heavy_hitters().size();
+  result.histogram = ka.histogram();
   return result;
 }
 
@@ -484,6 +487,109 @@ TEST(KmerAnalysis, HeavyHitterPathMatchesDefaultPath) {
   }
 }
 
+/// 10x reads of a 40 kbp genome, half of it three repeat families, so
+/// k-mer analysis finds heavy hitters.
+std::vector<seq::Read> repetitive_reads(std::uint64_t seed,
+                                        double error_rate) {
+  sim::GenomeConfig gc;
+  gc.length = 40000;
+  gc.repeat_fraction = 0.5;
+  gc.repeat_families = 3;
+  gc.repeat_unit_length = 300;
+  gc.seed = seed;
+  const auto genome = sim::simulate_genome(gc);
+  sim::LibraryConfig lc;
+  lc.read_length = 100;
+  lc.coverage = 10.0;
+  lc.error_rate = error_rate;
+  lc.seed = seed + 1;
+  return sim::simulate_library(genome, lc);
+}
+
+TEST(KmerAnalysis, MatchesBruteForceOnErrorfulRepetitiveReads) {
+  // Repeats give heavy hitters, 0.5% errors give singletons and Bloom
+  // false positives: the UFX and the histogram must still equal the
+  // reference cut at min_count, at one rank and at four.
+  const auto reads = repetitive_reads(37, 0.005);
+
+  KmerAnalysisConfig cfg;
+  cfg.k = 21;
+  cfg.min_count = 2;
+  cfg.use_heavy_hitters = true;
+  cfg.mg_capacity = 4096;
+  const auto ref = reference_tallies(reads, cfg.k, cfg.qual_threshold);
+  std::vector<std::uint64_t> want_hist(256, 0);
+  std::size_t want_kept = 0;
+  for (const auto& [km, tally] : ref) {
+    if (tally.count < cfg.min_count) continue;
+    ++want_hist[std::min<std::uint32_t>(tally.count, 255)];
+    ++want_kept;
+  }
+
+  for (const int nranks : {1, 4}) {
+    SCOPED_TRACE(nranks);
+    const auto result = run_analysis(reads, cfg, nranks);
+    EXPECT_GT(result.heavy_count, 0u);
+    ASSERT_EQ(result.ufx.size(), want_kept);
+    for (const auto& [km, summary] : result.ufx) {
+      const auto it = ref.find(km);
+      ASSERT_NE(it, ref.end()) << km;
+      ASSERT_GE(it->second.count, cfg.min_count) << km;
+      const auto expect = summarize(it->second, cfg.min_ext_count);
+      EXPECT_EQ(summary.depth, expect.depth) << km;
+      EXPECT_EQ(summary.left_ext, expect.left_ext) << km;
+      EXPECT_EQ(summary.right_ext, expect.right_ext) << km;
+    }
+    EXPECT_EQ(result.histogram, want_hist);
+  }
+}
+
+TEST(HeavyHitterIndex, MapsHeavyHittersToTheirPositions) {
+  const auto reads = repetitive_reads(41, 0.002);
+
+  KmerAnalysisConfig cfg;
+  cfg.k = 21;
+  cfg.mg_capacity = 4096;
+  pgas::ThreadTeam team(pgas::Topology{4, 2});
+  KmerAnalysis ka(team, cfg);
+  team.run([&](pgas::Rank& rank) {
+    seq::ReadStore mine;
+    for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
+         i += static_cast<std::size_t>(rank.nranks()))
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
+  });
+  const auto& heavy = ka.heavy_hitters();
+  const auto& index = ka.heavy_hitter_index();
+  ASSERT_GT(heavy.size(), 0u);
+  std::set<KmerT> heavy_set;
+  for (std::size_t i = 0; i < heavy.size(); ++i) {
+    heavy_set.insert(heavy[i].first);
+    EXPECT_EQ(index.find(heavy[i].first, heavy[i].first.hash()), i);
+  }
+  // Every other k-mer of the reads is absent.
+  std::size_t probed = 0;
+  for (const auto& read : reads) {
+    for (seq::KmerScanner<KmerT::kMaxK> it(read.seq, cfg.k); !it.done();
+         it.next()) {
+      const KmerT& canon = it.canonical();
+      if (heavy_set.contains(canon)) continue;
+      EXPECT_EQ(index.find(canon, canon.hash()),
+                KmerAnalysis::HeavyIndex::kAbsent);
+      ++probed;
+    }
+  }
+  EXPECT_GT(probed, 100000u);
+
+  const KmerAnalysis::HeavyIndex empty;
+  const KmerT some = KmerT::from_string("ACGTACGTACGTACGTACGTA");
+  EXPECT_EQ(empty.find(some, some.hash()), KmerAnalysis::HeavyIndex::kAbsent);
+  const KmerAnalysis::HeavyIndex from_empty(
+      std::vector<std::pair<KmerT, std::uint64_t>>{});
+  EXPECT_EQ(from_empty.find(some, some.hash()),
+            KmerAnalysis::HeavyIndex::kAbsent);
+}
+
 TEST(KmerAnalysis, BloomOnOffAgreeOnSurvivingKmers) {
   sim::GenomeConfig gc;
   gc.length = 30000;
@@ -503,8 +609,8 @@ TEST(KmerAnalysis, BloomOnOffAgreeOnSurvivingKmers) {
   without_bloom.use_bloom = false;
   without_bloom.min_count = 2;
 
-  // Bloom false positives enter the table with a zero tally; none may
-  // reach the output, in depth or in either extension.
+  // A Bloom false positive admits a singleton, which enters the table with
+  // count 1; none may reach the output, in depth or in either extension.
   const auto a = run_analysis(reads, with_bloom, 4);
   const auto b = run_analysis(reads, without_bloom, 4);
   ASSERT_EQ(a.ufx.size(), b.ufx.size());

@@ -292,18 +292,27 @@ TEST(DistHashMap, AggregatingStoresReduceMessageCount) {
   EXPECT_GT(fine_msgs, coarse_msgs * 100);
 }
 
-TEST(DistHashMap, IfPresentPolicySkipsNewKeys) {
+TEST(DistHashMap, AdmitPolicySkipsUnadmittedKeys) {
   ThreadTeam team(Topology{2, 2});
   CountMap map(team, CountMap::Config{.global_capacity = 128, .flush_threshold = 4});
+  // Admits exactly the pre-inserted key, and runs only on a miss.
+  const std::uint64_t admitted = map.hash_of(42u);
+  std::atomic<int> consulted{0};
+  map.set_admission([&](std::uint32_t owner, std::uint64_t hash) {
+    EXPECT_EQ(owner, map.owner_of(43u));
+    consulted.fetch_add(1);
+    return hash == admitted;
+  });
   team.run([&](Rank& rank) {
     if (rank.id() == 0) map.update(rank, 42u, 5);
     rank.barrier();
-    map.update(rank, 42u, 1, CountMap::Policy::kIfPresent);
-    map.update(rank, 43u, 1, CountMap::Policy::kIfPresent);
+    map.update(rank, 42u, 1, CountMap::Policy::kAdmit);
+    map.update(rank, 43u, 1, CountMap::Policy::kAdmit);
     rank.barrier();
     EXPECT_EQ(map.find(rank, 42u).value_or(0), 7u);  // 5 + 1 + 1
     EXPECT_FALSE(map.find(rank, 43u).has_value());
   });
+  EXPECT_EQ(consulted.load(), 2);  // the two misses on 43, never 42
 }
 
 TEST(DistHashMap, EraseLocalIf) {
@@ -373,9 +382,10 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
     for (auto& op : ops) op = {rng() % key_range, rng() % 7 + 1};
     return ops;
   };
-  // Phases: 0 fine inserts, 1 buffered inserts, 2 buffered kIfPresent,
-  // 3 fine kIfPresent, 4 fine finds (no writes), 5 erase_local_if. Ranges
-  // 2-4 are twice as wide, so half their keys are absent.
+  // Phases: 0 fine inserts, 1 buffered inserts, 2 buffered kAdmit, 3 fine
+  // kAdmit, 4 fine finds (no writes), 5 erase_local_if. Ranges 2-4 are
+  // twice as wide, so half their keys are absent; admission passes exactly
+  // the keys phases 0-1 inserted, so absent keys stay out.
   const int phases = 6;
   auto range_of = [](int phase) -> std::uint64_t {
     return phase >= 2 ? 4000 : 2000;
@@ -393,6 +403,11 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
     }
     expected.push_back(model);
   }
+  std::set<std::uint64_t> admitted;
+  for (const auto& kv : expected[1]) admitted.insert(map.hash_of(kv.first));
+  map.set_admission([&](std::uint32_t, std::uint64_t hash) {
+    return admitted.contains(hash);
+  });
 
   auto check_local = [&](Rank& rank, const Model& m) {
     std::multiset<std::pair<std::uint64_t, std::uint64_t>> seen;
@@ -424,12 +439,12 @@ TEST(DistHashMap, MatchesModelThroughChainedBuckets) {
         case 2:
           for (const Op& op : ops)
             map.update_buffered(rank, op.key, op.delta,
-                                CountMap::Policy::kIfPresent);
+                                CountMap::Policy::kAdmit);
           map.flush(rank);
           break;
         case 3:
           for (const Op& op : ops)
-            map.update(rank, op.key, op.delta, CountMap::Policy::kIfPresent);
+            map.update(rank, op.key, op.delta, CountMap::Policy::kAdmit);
           break;
         case 4:
           for (const Op& op : ops) {

@@ -131,9 +131,31 @@ TEST(Pipeline, EndToEndHumanLike) {
   EXPECT_GT(result.wall_for(kStageGapClosing), 0.0);
   EXPECT_GT(result.modeled_total(), 0.0);
 
+  // K-mer analysis timed its four passes inside the stage's wall.
+  ASSERT_TRUE(result.kmer_passes.has_value());
+  const auto& passes = *result.kmer_passes;
+  EXPECT_GT(passes.sketch, 0.0);
+  EXPECT_GT(passes.candidate, 0.0);
+  EXPECT_GT(passes.count, 0.0);
+  EXPECT_LE(passes.sketch + passes.candidate + passes.count + passes.finalize,
+            result.wall_for(kStageKmerAnalysis));
+
   // Insert size was recovered (the simulator used 395 +/- 30).
   ASSERT_FALSE(result.insert_estimates.empty());
   EXPECT_NEAR(result.insert_estimates[0].mean, 395.0, 20.0);
+}
+
+TEST(Pipeline, StageLinePutsKmerPassWallsBeforeModeled) {
+  // Tools strip "wall ... , " and parse what follows ", modeled ", so the
+  // pass walls sit between the two with no comma of their own.
+  PipelineResult result;
+  result.stages.push_back(StageReport{kStageKmerAnalysis, 1.5, 0.25, {}});
+  result.stages.push_back(StageReport{kStageContigGen, 0.5, 0.125, {}});
+  result.kmer_passes = kcount::KmerPassSeconds{0.25, 0.5, 0.625, 0.125};
+  EXPECT_EQ(result.format_stages(),
+            "  kmer_analysis: wall 1.5s (sketch 0.25s candidate 0.5s count "
+            "0.625s finalize 0.125s), modeled 0.25s\n"
+            "  contig_generation: wall 0.5s, modeled 0.125s\n");
 }
 
 TEST(Pipeline, EndToEndWheatLike) {
