@@ -2,12 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "dbg/contig.hpp"
-#include "io/wire.hpp"
 #include "pgas/checked.hpp"
 #include "pgas/read_cache.hpp"
 #include "pgas/thread_team.hpp"
@@ -21,21 +18,15 @@
 /// Contigs come out of the traversal on whichever rank happened to complete
 /// them; the store redistributes them so contig c lives on rank c % P,
 /// giving every later stage (seed-index construction, alignment extension,
-/// gap closing) O(1) location of any contig by id. Remote sequence reads
-/// are one-sided and charged by the byte, like UPC global-pointer derefs;
-/// a per-rank direct-mapped cache of whole contigs (slot = id % 64)
-/// collapses repeated fetches of hot contigs.
+/// gap closing) O(1) location of any contig by id. Every read goes through
+/// `read`: owner-local records are read in place, remote ones land in a
+/// per-rank direct-mapped cache of whole records (slot = id % 64), so a
+/// remote contig is charged one message of its sequence bytes per miss,
+/// like a UPC global-pointer dereference, and nothing on a hit.
 namespace hipmer::align {
 
 class ContigStore {
  public:
-  struct Meta {
-    std::uint32_t length = 0;
-    float avg_depth = 0.0f;
-    char left_term = 'X';
-    char right_term = 'X';
-  };
-
   explicit ContigStore(pgas::ThreadTeam& team);
 
   /// Collective: move each contig to rank (id % P). `my_contigs` is
@@ -51,26 +42,16 @@ class ContigStore {
     return static_cast<int>(contig_id % static_cast<std::uint64_t>(nranks_));
   }
 
-  /// One-sided read of contig `id`'s metadata.
-  [[nodiscard]] Meta meta(pgas::Rank& rank,
-                          std::uint64_t id HIPMER_SITE_DEFAULT) const;
-
-  /// One-sided read of `len` bases starting at `start` (clamped to the
-  /// contig). Remote contigs go through the per-rank cache.
-  [[nodiscard]] std::string fetch(pgas::Rank& rank, std::uint64_t id,
-                                  std::uint32_t start,
-                                  std::uint32_t len HIPMER_SITE_DEFAULT) const;
-
-  /// Fetch the whole contig sequence.
-  [[nodiscard]] std::string fetch_all(pgas::Rank& rank,
-                                      std::uint64_t id HIPMER_SITE_DEFAULT) const;
-
-  /// One-sided read of the complete contig record (sequence, depth,
-  /// termination states with junction k-mers). Used by bubble merging,
-  /// which needs the ends' junction data.
-  [[nodiscard]] dbg::Contig fetch_record(pgas::Rank& rank,
-                                         std::uint64_t id
-                                             HIPMER_SITE_DEFAULT) const;
+  /// Contig `id`'s record: the owner's own when this rank owns it,
+  /// otherwise this rank's cache slot, filled from the owner on a miss. An
+  /// absent id reads as an empty record. The reference stays valid until
+  /// this rank's next `read`. Charges one local access when owned, one
+  /// message of the sequence bytes on a remote miss, nothing on a hit.
+  /// The cache is not invalidated by `set_local_depth`, so depth writes
+  /// belong to the write phase before any read.
+  [[nodiscard]] const dbg::Contig& read(pgas::Rank& rank,
+                                        std::uint64_t id
+                                            HIPMER_SITE_DEFAULT) const;
 
   /// Iterate contigs owned by this rank: fn(id, const Contig&).
   template <typename Fn>
@@ -95,11 +76,9 @@ class ContigStore {
   // so one-sided reads become a request/response round trip. Charging is
   // unchanged and stays initiator-side (mirror counters sum to the same
   // global totals as the threads fabric).
-  [[nodiscard]] std::vector<std::byte> serve_fetch(const std::byte* data,
-                                                   std::size_t size) const;
-  [[nodiscard]] std::vector<std::byte> remote_call(std::uint8_t op,
-                                                   std::uint64_t id,
-                                                   int owner) const;
+  [[nodiscard]] std::vector<std::byte> serve_read(const std::byte* data,
+                                                  std::size_t size) const;
+  [[nodiscard]] dbg::Contig remote_call(std::uint64_t id, int owner) const;
   [[nodiscard]] bool remote(int owner) const;
 
   pgas::ThreadTeam* team_;
@@ -107,26 +86,18 @@ class ContigStore {
   std::atomic<std::uint64_t> total_{0};
   /// shards_[r] holds contigs with id % P == r, sorted by id.
   std::vector<std::vector<dbg::Contig>> shards_;
-  /// Per-rank caches of remote contig sequences, reset by build (mutable:
-  /// fetch is logically const).
-  using Cache = pgas::ReadCache<std::uint64_t, std::string>;
+  /// Per-rank caches of remote contig records, reset by build (mutable:
+  /// read is logically const).
+  using Cache = pgas::ReadCache<std::uint64_t, dbg::Contig>;
   mutable std::vector<Cache> caches_;
-  /// Fabric RPC service id for remote fetches (multi-process teams only).
+  /// Fabric RPC service id for remote reads (multi-process teams only).
   std::uint32_t rpc_ = 0;
 #if defined(HIPMER_CHECKED)
   // ContigStore is not a DistHashMap but obeys the same phase contract:
-  // build/set_local_depth are its write phase, one-sided meta/fetch reads
-  // its read phase. mutable: reads are logically const but record events.
+  // build/set_local_depth are its write phase, reads its read phase.
+  // mutable: reads are logically const but record events.
   mutable pgas::CheckedTable checked_;
 #endif
 };
-
-/// Field-wise Meta codec (schema `contig_meta`). Meta used to cross the
-/// fabric as a whole-struct put_pod, which shipped its two padding bytes
-/// (u32 + float + 2 char = 10 live bytes, sizeof == 12): dead wire bytes
-/// that decoded identically under any corruption. Writing the four fields
-/// explicitly keeps every wire byte live and the format layout-independent.
-void put_contig_meta(io::wire::Writer& w, const ContigStore::Meta& m);
-[[nodiscard]] ContigStore::Meta get_contig_meta_checked(io::wire::Reader& r);
 
 }  // namespace hipmer::align

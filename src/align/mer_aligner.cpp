@@ -89,7 +89,7 @@ void MerAligner::extend_one(pgas::Rank& rank, const ContigStore& store,
     merged.push_back(c);
   }
 
-  // --- Extend each candidate against fetched contig sequence. ---
+  // --- Extend each candidate against the contig read from its owner. ---
   std::vector<ReadAlignment> found;
   const std::string rc_read = seq::revcomp(read_seq);
   for (const auto& cand : merged) {
@@ -100,11 +100,11 @@ void MerAligner::extend_one(pgas::Rank& rank, const ContigStore& store,
     const std::int32_t pad = config_.sw_band + 4;
     const std::int32_t win_start = std::max<std::int32_t>(0, cand.shift - pad);
     const std::int32_t win_len = read_len + 2 * pad;
-    const std::string window =
-        store.fetch(rank, cand.contig_id, static_cast<std::uint32_t>(win_start),
-                    static_cast<std::uint32_t>(win_len));
-    if (window.empty()) continue;
-    const auto meta = store.meta(rank, cand.contig_id);
+    // A view into the record: valid until this rank's next store read.
+    const std::string_view contig = store.read(rank, cand.contig_id).seq;
+    if (static_cast<std::size_t>(win_start) >= contig.size()) continue;
+    const std::string_view window = contig.substr(
+        static_cast<std::size_t>(win_start), static_cast<std::size_t>(win_len));
     rank.stats().add_work(static_cast<std::uint64_t>(read_len));
 
     const std::int32_t local_shift = cand.shift - win_start;
@@ -123,7 +123,7 @@ void MerAligner::extend_one(pgas::Rank& rank, const ContigStore& store,
     record.mate = mate;
     record.library = library;
     record.contig_id = cand.contig_id;
-    record.contig_len = meta.length;
+    record.contig_len = static_cast<std::uint32_t>(contig.size());
     record.read_len = read_len;
     record.contig_start = win_start + aln.b_start;
     record.contig_end = win_start + aln.b_end;

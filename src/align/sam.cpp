@@ -13,9 +13,9 @@ std::string sam_header(pgas::Rank& rank, const ContigStore& store) {
   std::ostringstream os;
   os << "@HD\tVN:1.6\tSO:unknown\n";
   for (std::uint64_t id = 0; id < store.num_contigs(); ++id) {
-    const auto meta = store.meta(rank, id);
-    if (meta.length == 0) continue;
-    os << "@SQ\tSN:contig_" << id << "\tLN:" << meta.length << '\n';
+    const std::size_t length = store.read(rank, id).seq.size();
+    if (length == 0) continue;
+    os << "@SQ\tSN:contig_" << id << "\tLN:" << length << '\n';
   }
   os << "@PG\tID:hipmer\tPN:hipmer-meraligner\n";
   return os.str();

@@ -5,10 +5,11 @@
 #include "dbg/contig.hpp"
 #include "io/wire.hpp"
 
-/// Flat serialization of contigs for alltoallv exchanges (used by the
-/// traversal's deterministic renumbering and by ContigStore's
-/// redistribution). Framing goes through the shared wire layer: a POD
-/// header followed by the length-prefixed sequence.
+/// Flat serialization of contigs (used by the
+/// traversal's deterministic renumbering, by ContigStore's
+/// redistribution and by its remote reads on a multi-process fabric).
+/// Framing goes through the shared wire layer: a POD header followed by
+/// the length-prefixed sequence.
 namespace hipmer::dbg {
 
 struct ContigWireHeader {

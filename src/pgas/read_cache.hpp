@@ -12,7 +12,7 @@
 /// A power-of-two array of slots indexed by a hash the caller supplies:
 /// one key compare per lookup, and an insert overwrites whatever held the
 /// slot, so nothing is allocated per entry. ContigStore keeps one per rank
-/// for whole contig sequences (slot = contig id); DistHashMap fronts its
+/// for whole contig records (slot = contig id); DistHashMap fronts its
 /// batched lookups with one when a read-only phase opts in.
 ///
 /// The cache is strictly a read-phase structure: the owner tags it with a

@@ -96,19 +96,26 @@ std::vector<dbg::Contig> BubbleMerger::run(pgas::Rank& rank,
         paths[1]->contig == flank->contig)
       return;
 
-    const auto mu = store.meta(rank, paths[0]->contig);
-    const auto mv = store.meta(rank, paths[1]->contig);
+    // Copy each path's length and depth out of its record before the next
+    // read can overwrite the cache slot. Depths compare at float precision,
+    // the width a remote record travels at.
+    const dbg::Contig& u = store.read(rank, paths[0]->contig);
+    const std::size_t u_len = u.seq.size();
+    const auto u_depth = static_cast<float>(u.avg_depth);
+    const dbg::Contig& v = store.read(rank, paths[1]->contig);
+    const std::size_t v_len = v.seq.size();
+    const auto v_depth = static_cast<float>(v.avg_depth);
     const double len_skew =
-        std::abs(static_cast<double>(mu.length) - static_cast<double>(mv.length)) /
-        std::max<double>(1.0, std::max(mu.length, mv.length));
+        std::abs(static_cast<double>(u_len) - static_cast<double>(v_len)) /
+        std::max<double>(1.0, static_cast<double>(std::max(u_len, v_len)));
     if (len_skew > config_.max_length_skew) return;
 
     // Winner: deeper path; deterministic tie-break by id — both junctions
     // of the bubble reach the same verdict independently.
     const JunctionEntry* winner = paths[0];
     const JunctionEntry* loser = paths[1];
-    if (mv.avg_depth > mu.avg_depth ||
-        (mv.avg_depth == mu.avg_depth && paths[1]->contig < paths[0]->contig)) {
+    if (v_depth > u_depth ||
+        (v_depth == u_depth && paths[1]->contig < paths[0]->contig)) {
       std::swap(winner, loser);
     }
     my_edges.push_back(MergeEdge{flank->contig, flank->end, winner->contig,
@@ -197,7 +204,7 @@ std::vector<dbg::Contig> BubbleMerger::run(pgas::Rank& rank,
     std::vector<dbg::Contig> records;
     records.reserve(chain.size());
     for (const auto& link : chain)
-      records.push_back(store.fetch_record(rank, link.contig));
+      records.push_back(store.read(rank, link.contig));
 
     dbg::Contig out;
     out.seq = oriented_seq(records[0], chain[0].reversed);

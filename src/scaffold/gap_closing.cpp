@@ -1,7 +1,6 @@
 #include "scaffold/gap_closing.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 #include "seq/dna.hpp"
@@ -17,22 +16,22 @@ std::uint64_t end_key(std::uint32_t contig, std::uint8_t end) {
   return (static_cast<std::uint64_t>(contig) << 1) | end;
 }
 
-/// Wire record for shipping a read to a gap owner.
-struct WireRead {
-  std::uint64_t gap_id;
-  std::uint16_t len;
-};
+}  // namespace
 
-void serialize_read(std::vector<std::byte>& buf, std::uint64_t gap_id,
-                    std::string_view seq) {
-  WireRead header{gap_id, static_cast<std::uint16_t>(seq.size())};
-  const std::size_t old = buf.size();
-  buf.resize(old + sizeof header + seq.size());
-  std::memcpy(buf.data() + old, &header, sizeof header);
-  std::memcpy(buf.data() + old + sizeof header, seq.data(), seq.size());
+// wire-schema: gap_read writer
+void put_gap_read(io::wire::Writer& w, std::uint64_t gap_id,
+                  std::string_view seq) {
+  w.put_u64(gap_id);
+  w.put_bytes(seq);
 }
 
-}  // namespace
+// wire-schema: gap_read reader
+GapRead get_gap_read_checked(io::wire::Reader& r) {
+  GapRead read;
+  read.gap_id = r.get_u64_checked("gap read id");
+  read.seq = r.get_bytes_checked("gap read seq");
+  return read;
+}
 
 std::vector<GapSpec> enumerate_gaps(const std::vector<ScaffoldRecord>& scaffolds,
                                     double min_gap) {
@@ -122,9 +121,9 @@ std::vector<Closure> GapCloser::run(
   // and projected into the gaps"). ---
   std::vector<std::vector<std::byte>> outgoing(static_cast<std::size_t>(p));
   auto send_read = [&](std::uint64_t gap_id, std::string_view read_seq) {
-    serialize_read(
-        outgoing[static_cast<std::size_t>(owner_of_gap.at(gap_id))], gap_id,
-        read_seq);
+    io::wire::Writer w(
+        outgoing[static_cast<std::size_t>(owner_of_gap.at(gap_id))]);
+    put_gap_read(w, gap_id, read_seq);
   };
   for (const auto& a : my_alignments) {
     rank.stats().add_work();
@@ -177,14 +176,9 @@ std::vector<Closure> GapCloser::run(
 
   // Collect reads per owned gap.
   std::unordered_map<std::uint64_t, std::vector<std::string>> gap_reads;
-  std::size_t pos = 0;
-  while (pos + sizeof(WireRead) <= incoming.size()) {
-    WireRead header;
-    std::memcpy(&header, incoming.data() + pos, sizeof header);
-    pos += sizeof header;
-    gap_reads[header.gap_id].emplace_back(
-        reinterpret_cast<const char*>(incoming.data() + pos), header.len);
-    pos += header.len;
+  for (io::wire::Reader in(incoming); !in.done();) {
+    GapRead read = get_gap_read_checked(in);
+    gap_reads[read.gap_id].push_back(std::move(read.seq));
   }
 
   // Canonical read order per gap: closure methods scan reads linearly
@@ -310,9 +304,9 @@ Closure GapCloser::close_gap(pgas::Rank& rank, const GapSpec& gap,
   // Oriented flank sequences (scaffold left-to-right frame).
   const std::size_t flank_len =
       std::max<std::size_t>(static_cast<std::size_t>(2 * config_.max_walk_k), 128);
-  std::string left_seq = store.fetch_all(rank, gap.left_contig);
+  std::string left_seq = store.read(rank, gap.left_contig).seq;
   if (gap.left_reversed) left_seq = seq::revcomp(left_seq);
-  std::string right_seq = store.fetch_all(rank, gap.right_contig);
+  std::string right_seq = store.read(rank, gap.right_contig).seq;
   if (gap.right_reversed) right_seq = seq::revcomp(right_seq);
   const std::string flank_left =
       left_seq.size() > flank_len ? left_seq.substr(left_seq.size() - flank_len)

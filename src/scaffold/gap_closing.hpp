@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "align/alignment.hpp"
 #include "align/contig_store.hpp"
+#include "io/wire.hpp"
 #include "pgas/thread_team.hpp"
 #include "scaffold/insert_size.hpp"
 #include "scaffold/types.hpp"
@@ -76,6 +78,18 @@ struct Closure {
   std::string fill;
 };
 
+/// A read projected into a gap, as its owner receives it.
+struct GapRead {
+  std::uint64_t gap_id = 0;
+  std::string seq;
+};
+
+/// Gap-read codec (schema `gap_read`): u64 gap id, then the bases as
+/// [u32 length][bytes]; the checked reader throws on a truncated record.
+void put_gap_read(io::wire::Writer& w, std::uint64_t gap_id,
+                  std::string_view seq);
+[[nodiscard]] GapRead get_gap_read_checked(io::wire::Reader& r);
+
 /// Enumerate the positive-gap junctions of `scaffolds` (deterministic;
 /// every rank computes the same list from the replicated scaffolds).
 [[nodiscard]] std::vector<GapSpec> enumerate_gaps(
@@ -98,11 +112,6 @@ class GapCloser {
       const std::vector<InsertSizeEstimate>& inserts);
 
  private:
-  struct GapWork {
-    const GapSpec* spec;
-    std::vector<std::string> reads;
-  };
-
   [[nodiscard]] Closure close_gap(pgas::Rank& rank, const GapSpec& gap,
                                   const std::vector<std::string>& reads,
                                   const align::ContigStore& store) const;

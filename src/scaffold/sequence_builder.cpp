@@ -86,7 +86,7 @@ std::vector<io::FastaRecord> build_scaffold_sequences(
     std::string sequence;
     for (std::size_t i = 0; i < scaffold.placements.size(); ++i) {
       const auto& placement = scaffold.placements[i];
-      std::string part = store.fetch_all(rank, placement.contig);
+      std::string part = store.read(rank, placement.contig).seq;
       if (placement.reversed) part = seq::revcomp(part);
       rank.stats().add_work();
 

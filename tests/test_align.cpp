@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string_view>
 
 #include "align/contig_store.hpp"
 #include "align/mer_aligner.hpp"
@@ -127,15 +128,15 @@ TEST(ContigStore, RedistributesAndFetches) {
       if (static_cast<int>(i / 10) % p == rank.id()) mine.push_back(contigs[i]);
     store.build(rank, mine);
     rank.barrier();
-    // Every rank can fetch every contig, whole or windowed.
+    // Every rank can read every contig, whole or windowed.
     for (const auto& c : contigs) {
-      EXPECT_EQ(store.fetch_all(rank, c.id), c.seq);
-      const auto window = store.fetch(rank, c.id, 10, 20);
-      EXPECT_EQ(window, c.seq.substr(10, 20));
-      const auto m = store.meta(rank, c.id);
-      EXPECT_EQ(m.length, c.seq.size());
-      EXPECT_FLOAT_EQ(m.avg_depth, static_cast<float>(c.avg_depth));
-      EXPECT_EQ(m.left_term, 'F');
+      const dbg::Contig& got = store.read(rank, c.id);
+      EXPECT_EQ(got.seq, c.seq);
+      EXPECT_EQ(std::string_view(got.seq).substr(10, 20), c.seq.substr(10, 20));
+      EXPECT_EQ(got.seq.size(), c.seq.size());
+      EXPECT_FLOAT_EQ(static_cast<float>(got.avg_depth),
+                      static_cast<float>(c.avg_depth));
+      EXPECT_EQ(got.left.code, 'F');
     }
   });
   EXPECT_EQ(store.num_contigs(), 37u);
@@ -174,7 +175,8 @@ TEST(ContigStore, CacheReducesRemoteBytes) {
     team.run([&](pgas::Rank& rank) {
       if (rank.id() != 1) return;
       for (int round = 0; round < 50; ++round)
-        for (const auto id : ids) EXPECT_EQ(store.fetch(rank, id, 0, 7).size(), 7u);
+        for (const auto id : ids)
+          EXPECT_EQ(store.read(rank, id).seq.substr(0, 7).size(), 7u);
     });
     return team.snapshot_all()[1].total_msgs();
   };
@@ -183,6 +185,58 @@ TEST(ContigStore, CacheReducesRemoteBytes) {
   // 0 and 64 share a slot of the 64-slot direct-mapped cache, so
   // alternating them (64 first: 0 is still cached) misses every time.
   EXPECT_EQ(rank1_msgs({64, 0}), 100u);
+}
+
+TEST(ContigStore, RemoteRecordKeepsDepthTermsAndJunctions) {
+  pgas::ThreadTeam team(pgas::Topology{2, 1});
+  std::mt19937_64 rng(13);
+  dbg::Contig c;
+  c.id = 0;
+  c.seq = sim::random_dna(80, rng);
+  c.avg_depth = 12.5;
+  c.left.code = 'F';
+  c.left.has_junction = true;
+  c.left.junction = seq::KmerT::from_string(c.seq.substr(0, 21)).canonical();
+  c.right.code = 'N';
+  c.right.has_junction = true;
+  c.right.junction = seq::KmerT::from_string(c.seq.substr(59, 21)).canonical();
+  ContigStore store(team);
+  team.run([&](pgas::Rank& rank) {
+    store.build(rank, rank.is_root() ? std::vector<dbg::Contig>{c}
+                                     : std::vector<dbg::Contig>{});
+    if (rank.id() != 1) return;  // contig 0 is remote from rank 1
+    const dbg::Contig& got = store.read(rank, 0);
+    EXPECT_EQ(got.id, 0u);
+    EXPECT_EQ(got.seq, c.seq);
+    EXPECT_EQ(got.avg_depth, 12.5);
+    EXPECT_EQ(got.left.code, 'F');
+    EXPECT_EQ(got.right.code, 'N');
+    EXPECT_TRUE(got.left.has_junction);
+    EXPECT_TRUE(got.right.has_junction);
+    EXPECT_EQ(got.left.junction, c.left.junction);
+    EXPECT_EQ(got.right.junction, c.right.junction);
+  });
+}
+
+TEST(ContigStore, SlotSharingIdsReadBackToBack) {
+  pgas::ThreadTeam team(pgas::Topology{2, 1});
+  const auto contigs = make_contigs(65, 17);
+  ContigStore store(team);
+  team.run([&](pgas::Rank& rank) {
+    store.build(rank, rank.is_root() ? contigs : std::vector<dbg::Contig>{});
+    if (rank.id() != 1) return;
+    // 0 and 64 are remote from rank 1 and share one slot of its cache:
+    // each read evicts the other, and each must still return its own
+    // record.
+    for (int round = 0; round < 3; ++round) {
+      for (const std::uint64_t id : {0u, 64u}) {
+        const dbg::Contig& got = store.read(rank, id);
+        EXPECT_EQ(got.id, id);
+        EXPECT_EQ(got.seq, contigs[id].seq);
+        EXPECT_EQ(got.avg_depth, contigs[id].avg_depth);
+      }
+    }
+  });
 }
 
 // ---- MerAligner ----
@@ -307,6 +361,50 @@ TEST(MerAligner, ReverseStrandReadsAlignCorrectly) {
   EXPECT_EQ(by_pair[1].contig_start, 300);
   EXPECT_EQ(by_pair[1].contig_end, 380);
   EXPECT_EQ(by_pair[1].score, 80);
+}
+
+// Each candidate reads its contig once, through the cache: many reads
+// hitting one remote contig cost one message for it, beyond the seed
+// lookups, however many candidates they make.
+TEST(MerAligner, ManyReadsOfOneRemoteContigCostOneMessage) {
+  std::mt19937_64 rng(91);
+  const std::string genome = sim::random_dna(2000, rng);
+  seq::ReadStore reads;
+  for (int i = 0; i < 40; ++i) {
+    seq::Read r;
+    r.name = "t:" + std::to_string(i) + "/0";
+    r.seq = genome.substr(static_cast<std::size_t>(40 * i), 100);
+    r.quals.assign(r.seq.size(), 'I');
+    reads.append(r);
+  }
+  // Messages rank 1 sends aligning `reads` against `genome` stored as
+  // contig `id`; the seed lookups do not depend on the id.
+  auto rank1_msgs = [&](std::uint64_t id) {
+    pgas::ThreadTeam team(pgas::Topology{2, 1});
+    ContigStore store(team);
+    AlignerConfig ac;
+    ac.seed_k = 21;
+    MerAligner aligner(team, ac, genome.size());
+    dbg::Contig c;
+    c.id = id;
+    c.seq = genome;
+    team.run([&](pgas::Rank& rank) {
+      store.build(rank, rank.is_root() ? std::vector<dbg::Contig>{c}
+                                       : std::vector<dbg::Contig>{});
+      aligner.build_index(rank, store);
+    });
+    team.reset_stats();
+    std::size_t aligned = 0;
+    team.run([&](pgas::Rank& rank) {
+      const auto found = aligner.align_reads(
+          rank, store, rank.id() == 1 ? reads : seq::ReadStore{}, 0);
+      if (rank.id() == 1) aligned = found.size();
+    });
+    EXPECT_EQ(aligned, reads.size());
+    return team.snapshot_all()[1].total_msgs();
+  };
+  // Contig 0 lives on rank 0, remote from the reads; contig 1 on rank 1.
+  EXPECT_EQ(rank1_msgs(0), rank1_msgs(1) + 1);
 }
 
 TEST(MerAligner, ToleratesSequencingErrors) {

@@ -306,7 +306,7 @@ TEST_F(PhaseCheckerTest, ContigStoreDepthWriteRacingAFetch) {
   EXPECT_THROW(team.run([&](pgas::Rank& rank) {
                  store.build(rank, {});  // ends with a barrier: store phase
                  if (rank.id() == 1) {
-                   (void)store.fetch(rank, 0, 0, 4);
+                   (void)store.read(rank, 0);
                    fetched.store(1, std::memory_order_release);
                  } else {
                    await(fetched, 1);

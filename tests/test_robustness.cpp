@@ -253,10 +253,10 @@ TEST(Robustness, ContigStoreHandlesEmptyRanks) {
     store.build(rank, rank.id() == 3 ? std::vector<dbg::Contig>{a, b}
                                      : std::vector<dbg::Contig>{});
     rank.barrier();
-    EXPECT_EQ(store.fetch_all(rank, 0), a.seq);
-    EXPECT_EQ(store.fetch_all(rank, 5), b.seq);
-    EXPECT_TRUE(store.fetch_all(rank, 7).empty());  // absent contig
-    EXPECT_EQ(store.meta(rank, 3).length, 0u);      // absent meta
+    EXPECT_EQ(store.read(rank, 0).seq, a.seq);
+    EXPECT_EQ(store.read(rank, 5).seq, b.seq);
+    EXPECT_TRUE(store.read(rank, 7).seq.empty());  // absent contig
+    EXPECT_EQ(store.read(rank, 3).seq.size(), 0u);  // absent length
   });
   EXPECT_EQ(store.num_contigs(), 2u);
 }

@@ -325,9 +325,10 @@ class GapClosingFixture : public ::testing::Test {
  protected:
   /// Build a genome, split it into two contigs with a gap, and produce
   /// reads covering the gap region.
-  void build(std::size_t gap_len, std::uint64_t seed) {
+  void build(std::size_t gap_len, std::uint64_t seed,
+             std::size_t genome_len = 3000) {
     std::mt19937_64 rng(seed);
-    genome_ = sim::random_dna(3000, rng);
+    genome_ = sim::random_dna(genome_len, rng);
     const std::size_t cut1 = 1400;
     const std::size_t cut2 = cut1 + gap_len;
     left_.id = 0;
@@ -415,6 +416,16 @@ TEST_F(GapClosingFixture, WalkClosesLongGap) {
   const auto closure = close(reads_over_gap(80, 7), 300.0f);
   ASSERT_TRUE(closure.closed);
   EXPECT_TRUE(closure.method == 'W' || closure.method == 'P');
+  EXPECT_EQ(closure.fill, gap_fill_);
+}
+
+TEST_F(GapClosingFixture, SpanningReadLongerThan64KbArrivesIntact) {
+  build(68000, 913, 71600);
+  // One 70,000-base read from inside the left contig to inside the right
+  // one: it reaches the gap owner whole, so spanning recovers the fill.
+  const auto closure = close({genome_.substr(1000, 70000)}, 68000.0f);
+  ASSERT_TRUE(closure.closed);
+  EXPECT_EQ(closure.method, 'S');
   EXPECT_EQ(closure.fill, gap_fill_);
 }
 

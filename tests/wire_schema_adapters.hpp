@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "align/alignment_wire.hpp"
-#include "align/contig_store.hpp"
 #include "ckpt/artifacts.hpp"
 #include "ckpt/manifest.hpp"
 #include "dbg/contig_wire.hpp"
@@ -21,6 +20,7 @@
 #include "pgas/map_wire.hpp"
 #include "pgas/transport.hpp"
 #include "pipeline/read_shuffle.hpp"
+#include "scaffold/gap_closing.hpp"
 #include "seq/read_store.hpp"
 #include "server/artifact_cache.hpp"
 #include "server/journal.hpp"
@@ -203,24 +203,19 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
                      }});
   }
 
-  // ---- align: contig meta ----
+  // ---- scaffold: read projected into a gap ----
   {
-    align::ContigStore::Meta meta;
-    meta.length = 1234;
-    meta.avg_depth = 8.25F;
-    meta.left_term = 'F';
-    meta.right_term = 'D';
     Bytes buf;
     wire::Writer w(buf);
-    align::put_contig_meta(w, meta);
-    cases.push_back({"contig_meta", std::move(buf), [](const Bytes& b) {
+    scaffold::put_gap_read(w, 0x0102030405060708ULL, sample_read(2).seq);
+    cases.push_back({"gap_read", std::move(buf), [](const Bytes& b) {
                        return guard([&] {
                          wire::Reader r(b);
-                         const auto m = align::get_contig_meta_checked(r);
+                         const auto read = scaffold::get_gap_read_checked(r);
                          if (!r.done()) return Fingerprint{};
                          Bytes out;
                          wire::Writer w2(out);
-                         align::put_contig_meta(w2, m);
+                         scaffold::put_gap_read(w2, read.gap_id, read.seq);
                          return Fingerprint{std::move(out)};
                        });
                      }});

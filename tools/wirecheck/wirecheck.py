@@ -103,7 +103,7 @@ SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h"}
 # "sweep": "none" entries; gen_schema_tests.py re-checks the set).
 SWEEP_OVERRIDES = {
     "ckpt_aux_stats": "fragment of ckpt_manifest; swept inside it",
-    "contig_req": "private ContigStore RPC codec; two fixed PODs, "
+    "contig_req": "private ContigStore RPC codec; one u64 contig id, "
     "exercised end-to-end by the fabric frame sweeps",
 }
 
