@@ -143,10 +143,11 @@ void ContigStore::set_local_depth(pgas::Rank& rank, std::uint64_t id,
   rank.stats().add_local_access();
 }
 
-std::uint64_t ContigStore::local_bases(int rank) const {
+std::uint64_t ContigStore::local_kmers(int rank, int k) const {
+  const auto span = static_cast<std::size_t>(k) - 1;
   std::uint64_t total = 0;
   for (const auto& contig : shards_[static_cast<std::size_t>(rank)])
-    total += contig.seq.size();
+    if (contig.seq.size() > span) total += contig.seq.size() - span;
   return total;
 }
 

@@ -67,7 +67,11 @@ class ContigStore {
                        double depth HIPMER_SITE_DEFAULT);
 
   /// Total bases across this rank's contigs.
-  [[nodiscard]] std::uint64_t local_bases(int rank) const;
+  [[nodiscard]] std::uint64_t local_bases(int rank) const {
+    return local_kmers(rank, 1);
+  }
+  /// k-mers across this rank's contigs: the sum of max(0, len - k + 1).
+  [[nodiscard]] std::uint64_t local_kmers(int rank, int k) const;
 
  private:
   [[nodiscard]] const dbg::Contig* local_lookup(std::uint64_t id) const;

@@ -24,6 +24,7 @@ MerAligner::MerAligner(pgas::ThreadTeam& team, AlignerConfig config,
 MerAligner::~MerAligner() = default;
 
 void MerAligner::build_index(pgas::Rank& rank, const ContigStore& store) {
+  std::uint64_t seeds = 0;
   store.for_each_local(rank, [&](std::uint64_t id, const dbg::Contig& contig) {
     for (seq::KmerScanner<KmerT::kMaxK> it(contig.seq, config_.seed_k);
          !it.done(); it.next()) {
@@ -34,9 +35,10 @@ void MerAligner::build_index(pgas::Rank& rank, const ContigStore& store) {
           static_cast<std::uint32_t>(it.position()),
           static_cast<std::uint8_t>(it.is_flipped() ? 0 : 1)};
       index_->update_buffered(rank, it.canonical(), entry);
-      rank.stats().add_work();
+      ++seeds;
     }
   });
+  rank.stats().add_work(seeds);
   index_->flush(rank);
   rank.barrier();
 }
@@ -180,8 +182,10 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
     }
   };
 
+  // Sampled seeds are charged as one work unit each, once per chunk.
   auto drain_chunk = [&]() {
     if (chunk.empty()) return;
+    rank.stats().add_work(slots.size());
     index_->process_lookups(rank, resolve);
     for (std::size_t i = 0; i < chunk.size(); ++i) {
       const std::size_t begin = slot_begin[i];
@@ -211,7 +215,6 @@ std::vector<ReadAlignment> MerAligner::align_reads(pgas::Rank& rank,
       const auto pos = static_cast<std::int32_t>(it.position());
       if (pos < next_sample) continue;
       next_sample = pos + config_.seed_stride;
-      rank.stats().add_work();
 
       const std::uint64_t tag = slots.size();
       slots.push_back(SeedSlot{static_cast<std::uint32_t>(chunk.size() - 1),

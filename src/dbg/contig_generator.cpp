@@ -109,10 +109,9 @@ void ContigGenerator::set_oracle(const OraclePartition* oracle) {
 void ContigGenerator::build_graph(
     pgas::Rank& rank,
     const std::vector<std::pair<KmerT, kcount::KmerSummary>>& local_ufx) {
-  for (const auto& [kmer, summary] : local_ufx) {
+  for (const auto& [kmer, summary] : local_ufx)
     map_->update_buffered(rank, kmer, summary);
-    rank.stats().add_work();
-  }
+  rank.stats().add_work(local_ufx.size());
   map_->flush(rank);
   rank.barrier();
 }

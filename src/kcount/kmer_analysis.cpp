@@ -109,18 +109,16 @@ void KmerAnalysis::sketch_pass(
 
   std::vector<std::vector<HeavyItem>> outgoing(
       static_cast<std::size_t>(rank.nranks()));
-  for (const auto& [kmer, count] : mg.items()) {
+  const auto& partials = mg.items();
+  for (const auto& [kmer, count] : partials)
     outgoing[owner_of(kmer.hash())].push_back(HeavyItem{kmer, count});
-    rank.stats().add_work();
-  }
+  rank.stats().add_work(partials.size());
   const auto incoming = rank.alltoallv(outgoing);
 
   std::unordered_map<KmerT, std::uint64_t, seq::KmerHashT> sums;
   sums.reserve(incoming.size());
-  for (const auto& item : incoming) {
-    sums[item.kmer] += item.count;
-    rank.stats().add_work();
-  }
+  for (const auto& item : incoming) sums[item.kmer] += item.count;
+  rank.stats().add_work(incoming.size());
   std::vector<HeavyItem> my_heavy;
   for (const auto& [kmer, count] : sums)
     if (count >= threshold) my_heavy.push_back(HeavyItem{kmer, count});
@@ -332,18 +330,19 @@ void KmerAnalysis::counting_pass(
     std::vector<std::vector<TallyItem>> outgoing(
         static_cast<std::size_t>(rank.nranks()));
     // Only the heavy hitters this rank saw ship, one item each.
+    std::uint64_t shipped = 0;
     for (std::size_t i = 0; i < local_heavy.size(); ++i) {
       if (local_heavy[i].count == 0) continue;
       const KmerT& kmer = heavy_hitters_[i].first;
       outgoing[owner_of(kmer.hash())].push_back(
           TallyItem{kmer, local_heavy[i]});
-      rank.stats().add_work();
+      ++shipped;
     }
+    rank.stats().add_work(shipped);
     const auto incoming = rank.alltoallv(outgoing);
-    for (const auto& item : incoming) {
-      rank.stats().add_work();
+    for (const auto& item : incoming)
       table_->update(rank, item.kmer, item.tally, Map::Policy::kInsert);
-    }
+    rank.stats().add_work(incoming.size());
     // Heavy hitters are distinct k-mers the Bloom pass never saw; `incoming`
     // holds one item per (source rank, k-mer), so count distinct keys.
     std::vector<bool> arrived(heavy_hitters_.size(), false);
@@ -384,8 +383,8 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
   table_->for_each_local(rank, [&](const KmerT& km, KmerTally& tally) {
     out.emplace_back(km, summarize(tally, config_.min_ext_count));
     ++hist[std::min<std::uint32_t>(tally.count, 255)];
-    rank.stats().add_work();
   });
+  rank.stats().add_work(out.size());
   rank.barrier();
 
   // Global roll-ups.
@@ -410,8 +409,10 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
   rank.barrier();
 }
 
-std::size_t KmerAnalysis::table_entries() const {
-  return table_ ? table_->size_unsafe() : 0;
+void KmerAnalysis::release_tables() {
+  table_.reset();
+  for (auto* filters : {&blooms_, &repeat_blooms_})
+    for (auto& b : *filters) b.reset();
 }
 
 std::size_t KmerAnalysis::bloom_bytes() const {

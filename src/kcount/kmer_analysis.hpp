@@ -141,15 +141,22 @@ class KmerAnalysis {
   [[nodiscard]] std::uint64_t total_kmer_instances() const noexcept {
     return total_instances_;
   }
-  [[nodiscard]] std::size_t table_entries() const;
   /// Entries resident in the main table *before* the below-threshold purge
   /// — the working-set size the Bloom filter shrinks (§3.1: "memory
   /// requirement reductions of up to 85%").
   [[nodiscard]] std::size_t peak_table_entries() const noexcept {
     return peak_table_entries_;
   }
-  /// Both Bloom filters of every rank, in bytes.
+  /// Both Bloom filters of every rank, in bytes (0 once released).
   [[nodiscard]] std::size_t bloom_bytes() const;
+  /// Whether the count table is allocated: from `run`'s sizing step until
+  /// `release_tables`.
+  [[nodiscard]] bool has_table() const noexcept { return table_ != nullptr; }
+
+  /// Free the count table and both Bloom filters. Serial context only,
+  /// after the team.run that called `run` has returned, so no rank and no
+  /// barrier check can still reach them; every result above stays valid.
+  void release_tables();
   [[nodiscard]] const KmerPassSeconds& pass_seconds() const noexcept {
     return pass_seconds_;
   }

@@ -72,6 +72,9 @@ template <typename K, typename V, typename Hash = std::hash<K>,
           typename Merge = OverwriteMerge<V>>
 class DistHashMap {
  public:
+  /// Entries a bucket holds inline, ahead of its overflow chain.
+  static constexpr std::uint32_t kInline = 4;
+
   struct Config {
     /// Expected number of distinct keys across all ranks; controls bucket
     /// count (shards never rehash — overflow chains absorb misestimates,
@@ -135,9 +138,10 @@ class DistHashMap {
     }
     const std::size_t per_shard =
         (cfg.global_capacity + nranks_ - 1) / nranks_;
-    // Aim for ~2 entries per bucket at the estimated cardinality.
-    std::size_t nbuckets = 1;
-    while (nbuckets * Bucket::kInline / 2 < per_shard) nbuckets <<= 1;
+    // About 2 entries per bucket at the estimated cardinality. Multiply-
+    // shift picks the bucket, so any count works.
+    const std::size_t nbuckets =
+        std::max<std::size_t>(1, (2 * per_shard + kInline - 1) / kInline);
     // Shard storage is anonymous zero pages: mapping costs one call
     // whatever the size, and the kernel zeroes each page on its first
     // touch, so no serial pass clears the table and the rank that first
@@ -148,7 +152,7 @@ class DistHashMap {
                            -1, 0);
       if (pages == MAP_FAILED) throw std::bad_alloc();
       shard.buckets = static_cast<Bucket*>(pages);
-      shard.mask = nbuckets - 1;
+      shard.nbuckets = nbuckets;
     }
   }
 
@@ -412,7 +416,7 @@ class DistHashMap {
   template <typename Fn>
   void for_each_local(Rank& rank, Fn&& fn) {
     Shard& shard = shards_[static_cast<std::size_t>(rank.id())];
-    for (std::size_t b = 0; b <= shard.mask; ++b) {
+    for (std::size_t b = 0; b < shard.nbuckets; ++b) {
       Bucket& bucket = shard.buckets[b];
       SpinGuard guard(bucket.lock);
       for (std::uint8_t i = 0; i < bucket.count; ++i)
@@ -434,7 +438,7 @@ class DistHashMap {
 #endif
     Shard& shard = shards_[static_cast<std::size_t>(rank.id())];
     std::size_t erased = 0;
-    for (std::size_t b = 0; b <= shard.mask; ++b) {
+    for (std::size_t b = 0; b < shard.nbuckets; ++b) {
       Bucket& bucket = shard.buckets[b];
       SpinGuard guard(bucket.lock);
       // Compact inline slots, refilling from the overflow chain. The
@@ -474,6 +478,11 @@ class DistHashMap {
         std::memory_order_relaxed);
   }
 
+  /// Buckets in `rank`'s shard: ceil(2 · per-shard capacity / kInline).
+  [[nodiscard]] std::size_t bucket_count(int rank) const {
+    return shards_[static_cast<std::size_t>(rank)].nbuckets;
+  }
+
   /// Collective: total entries across all shards.
   [[nodiscard]] std::size_t global_size(Rank& rank) {
     return rank.allreduce_sum<std::uint64_t>(
@@ -498,7 +507,6 @@ class DistHashMap {
   /// touches one or two adjacent cache lines. All-zero bytes are a valid
   /// empty, unlocked bucket, so shard storage is never constructed.
   struct Bucket {
-    static constexpr int kInline = 4;
     std::uint8_t lock;
     std::uint8_t count;
     std::uint32_t chain_size;
@@ -516,8 +524,8 @@ class DistHashMap {
   /// counter every inserter writes sit on separate cache lines, and
   /// neighbouring shards never share one.
   struct alignas(64) Shard {
-    Bucket* buckets = nullptr;  // mmap'd zero pages, mask + 1 buckets
-    std::size_t mask = 0;
+    Bucket* buckets = nullptr;  // mmap'd zero pages, nbuckets of them
+    std::size_t nbuckets = 0;
     // Buckets that own a chain block, freed on destruction (O(chains),
     // not O(buckets)). chain_lock guards the list itself.
     std::uint8_t chain_lock = 0;
@@ -530,7 +538,7 @@ class DistHashMap {
     ~Shard() {
       if (buckets == nullptr) return;
       for (Bucket* b : chained) std::free(b->chain);
-      ::munmap(buckets, (mask + 1) * sizeof(Bucket));
+      ::munmap(buckets, nbuckets * sizeof(Bucket));
     }
   };
 
@@ -712,9 +720,14 @@ class DistHashMap {
     return mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
   }
 
+  /// Multiply-shift on the remixed hash: the high 64 bits of
+  /// fmix64(h) * nbuckets are uniform over [0, nbuckets) with no division,
+  /// and the remix decorrelates the bucket from the owner (h % P).
   static Bucket& bucket_of(const Shard& shard, std::uint64_t h) {
-    // Decorrelate from the owner mapping (which typically uses h % P).
-    return shard.buckets[util::fmix64(h) & shard.mask];
+    const auto idx = static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(util::fmix64(h)) * shard.nbuckets) >>
+        64);
+    return shard.buckets[idx];
   }
 
   /// Batch applies and lookups prefetch the bucket header this many ops
@@ -743,7 +756,7 @@ class DistHashMap {
   }
 
   static constexpr std::uint32_t chain_capacity(std::uint32_t n) {
-    return n <= Bucket::kInline ? Bucket::kInline : std::bit_ceil(n);
+    return n <= kInline ? kInline : std::bit_ceil(n);
   }
 
   /// Append to `bucket`'s overflow chain (bucket lock held).
@@ -751,7 +764,7 @@ class DistHashMap {
     const std::uint32_t n = bucket.chain_size;
     if (bucket.chain == nullptr) {
       bucket.chain =
-          static_cast<Entry*>(std::malloc(Bucket::kInline * sizeof(Entry)));
+          static_cast<Entry*>(std::malloc(kInline * sizeof(Entry)));
       if (bucket.chain == nullptr) throw std::bad_alloc();
       SpinGuard guard(shard.chain_lock);
       shard.chained.push_back(&bucket);
@@ -777,7 +790,7 @@ class DistHashMap {
       return false;
     }
     if (policy == Policy::kAdmit && !admit_(owner, h)) return false;
-    if (bucket.count < Bucket::kInline) {
+    if (bucket.count < kInline) {
       bucket.slots[bucket.count] = Entry{key, delta};
       ++bucket.count;
     } else {

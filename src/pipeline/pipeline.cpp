@@ -1,5 +1,7 @@
 #include "pipeline/pipeline.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -21,6 +23,17 @@
 #include "util/timer.hpp"
 
 namespace hipmer::pipeline {
+
+namespace {
+
+/// This process's RSS high-water mark so far, in MiB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+}  // namespace
 
 double PipelineResult::wall_total() const {
   double total = 0;
@@ -62,7 +75,12 @@ std::string PipelineResult::format_stages() const {
          << kmer_passes->candidate << "s count " << kmer_passes->count
          << "s finalize " << kmer_passes->finalize << "s)";
     }
-    os << ", modeled " << modeled_for(name) << "s\n";
+    // A repeated stage (one per round) shows its highest mark.
+    double rss = 0.0;
+    for (const auto& s : stages)
+      if (s.name == name) rss = std::max(rss, s.peak_rss_mb);
+    os << " peak_rss " << rss << "MB, modeled " << modeled_for(name)
+       << "s\n";
   }
   return os.str();
 }
@@ -204,6 +222,7 @@ void Pipeline::run_reported(std::vector<StageReport>& stages,
     report.comm += delta[r];
   }
   report.modeled_seconds = config_.machine.phase_seconds(delta, team_.topology());
+  report.peak_rss_mb = peak_rss_mb();
   util::log_info("stage " + name + ": wall " +
                  std::to_string(report.wall_seconds) + "s, modeled " +
                  std::to_string(report.modeled_seconds) + "s");
@@ -470,6 +489,9 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
           sets.emplace_back(rank_reads[static_cast<std::size_t>(rank.id())][lib]);
       kmer_analysis->run(rank, sets);
     });
+    // The UFX vectors hold every surviving entry now; the count table and
+    // Bloom filters are dead weight for the rest of the run.
+    kmer_analysis->release_tables();
     aux.distinct_kmers = kmer_analysis->distinct_kmers();
     aux.singleton_fraction = kmer_analysis->singleton_fraction();
     aux.heavy_hitters = kmer_analysis->heavy_hitters().size();
@@ -531,6 +553,9 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
             bubble_merger.run(rank, *store);
       }
     });
+    // The depths pass was the UFX records' last reader.
+    kmer_analysis.reset();
+    loaded_ufx.clear();
     if (config_.merge_bubbles) {
       auto merged_store = std::make_unique<align::ContigStore>(team_);
       run_stage(stages, kStageScaffoldRest, [&](pgas::Rank& rank) {
@@ -662,13 +687,15 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
       store = std::move(next_store);
     }
 
-    std::uint64_t contig_bases = 0;
+    // The seed index holds one entry per distinct contig k-mer at most.
+    std::uint64_t contig_kmers = 0;
     for (std::size_t r = 0; r < p; ++r) {
       if (team_.multiprocess() && !team_.is_local(static_cast<int>(r)))
         continue;
-      contig_bases += store->local_bases(static_cast<int>(r));
+      contig_kmers += store->local_kmers(static_cast<int>(r),
+                                          config_.aligner.seed_k);
     }
-    contig_bases = team_.serial_sum(contig_bases);
+    contig_kmers = team_.serial_sum(contig_kmers);
 
     // merAligner (§4.3) — skipped when this round's alignments were loaded
     // from a snapshot.
@@ -678,7 +705,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
       alignments.resize(p);
     } else {
       align::MerAligner aligner(team_, config_.aligner,
-                                static_cast<std::size_t>(contig_bases));
+                                static_cast<std::size_t>(contig_kmers));
       run_stage(stages, kStageAligner, [&](pgas::Rank& rank) {
         aligner.build_index(rank, *store);
         auto& mine = alignments[static_cast<std::size_t>(rank.id())];

@@ -135,6 +135,8 @@ struct StageReport {
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
   pgas::CommStatsSnapshot comm;  // aggregate over ranks
+  /// This process's RSS high-water mark when the phase ended, in MiB.
+  double peak_rss_mb = 0.0;
 };
 
 struct PipelineResult {
@@ -161,8 +163,10 @@ struct PipelineResult {
   [[nodiscard]] double wall_for(const std::string& stage) const;
   [[nodiscard]] double modeled_for(const std::string& stage) const;
   /// Short human-readable per-stage summary, one line per stage
-  /// ("  <stage>: wall <s>s, modeled <s>s"); the k-mer analysis line
-  /// carries its per-pass walls after the stage wall, with no comma.
+  /// ("  <stage>: wall <s>s peak_rss <MB>MB, modeled <s>s"); the k-mer
+  /// analysis line carries its per-pass walls after the stage wall. Nothing
+  /// between "wall" and ", modeled" holds a comma, so tools can strip the
+  /// host-dependent figures as one field.
   [[nodiscard]] std::string format_stages() const;
 };
 

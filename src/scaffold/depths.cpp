@@ -22,10 +22,9 @@ std::vector<std::pair<std::uint64_t, double>> DepthCalculator::run(
     const std::vector<std::pair<seq::KmerT, kcount::KmerSummary>>& local_ufx,
     const align::ContigStore& store) {
   // Phase 1: populate the k-mer -> count table (aggregating stores).
-  for (const auto& [kmer, summary] : local_ufx) {
+  for (const auto& [kmer, summary] : local_ufx)
     counts_->update_buffered(rank, kmer, summary.depth);
-    rank.stats().add_work();
-  }
+  rank.stats().add_work(local_ufx.size());
   counts_->flush(rank);
   rank.barrier();
 
@@ -36,6 +35,7 @@ std::vector<std::pair<std::uint64_t, double>> DepthCalculator::run(
   std::vector<std::uint64_t> ids;
   std::vector<std::uint64_t> sums;
   std::vector<std::uint64_t> ns;
+  std::uint64_t probes = 0;
   auto accumulate = [&sums](const seq::KmerT& /*key*/,
                             const std::uint32_t* count, std::uint64_t tag) {
     if (count != nullptr) sums[static_cast<std::size_t>(tag)] += *count;
@@ -49,9 +49,10 @@ std::vector<std::pair<std::uint64_t, double>> DepthCalculator::run(
          it.next()) {
       counts_->find_buffered(rank, it.canonical(), ordinal, accumulate);
       ++ns[ordinal];
-      rank.stats().add_work();
+      ++probes;
     }
   });
+  rank.stats().add_work(probes);
   counts_->process_lookups(rank, accumulate);
 
   std::vector<std::pair<std::uint64_t, double>> depths;

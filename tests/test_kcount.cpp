@@ -659,6 +659,61 @@ TEST(KmerAnalysis, ErrorKmersAreExcluded) {
   EXPECT_GT(result.singleton_fraction, 0.5);
 }
 
+TEST(KmerAnalysis, ReleasingTheTablesKeepsEveryResult) {
+  sim::GenomeConfig gc;
+  gc.length = 20000;
+  gc.seed = 37;
+  const auto genome = sim::simulate_genome(gc);
+  sim::LibraryConfig lc;
+  lc.read_length = 100;
+  lc.coverage = 10.0;
+  lc.error_rate = 0.004;
+  lc.seed = 38;
+  const auto reads = sim::simulate_library(genome, lc);
+
+  KmerAnalysisConfig cfg;
+  cfg.k = 21;
+  const int nranks = 3;
+  pgas::ThreadTeam team(pgas::Topology{nranks, 2});
+  KmerAnalysis ka(team, cfg);
+  EXPECT_FALSE(ka.has_table());
+  team.run([&](pgas::Rank& rank) {
+    seq::ReadStore mine;
+    for (std::size_t i = static_cast<std::size_t>(rank.id()); i < reads.size();
+         i += static_cast<std::size_t>(rank.nranks()))
+      mine.append(reads[i]);
+    ka.run(rank, {mine});
+  });
+  ASSERT_TRUE(ka.has_table());
+  EXPECT_GT(ka.bloom_bytes(), 0u);
+  std::vector<std::vector<std::pair<KmerT, KmerSummary>>> ufx;
+  for (int r = 0; r < nranks; ++r) ufx.push_back(ka.ufx(r));
+  const auto histogram = ka.histogram();
+  const auto peak = ka.peak_table_entries();
+
+  ka.release_tables();
+  EXPECT_FALSE(ka.has_table());
+  EXPECT_EQ(ka.bloom_bytes(), 0u);
+  std::size_t records = 0;
+  for (int r = 0; r < nranks; ++r) {
+    const auto& kept = ka.ufx(r);
+    ASSERT_EQ(kept.size(), ufx[static_cast<std::size_t>(r)].size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(kept[i].first, ufx[static_cast<std::size_t>(r)][i].first);
+      EXPECT_EQ(kept[i].second.depth,
+                ufx[static_cast<std::size_t>(r)][i].second.depth);
+      EXPECT_EQ(kept[i].second.left_ext,
+                ufx[static_cast<std::size_t>(r)][i].second.left_ext);
+      EXPECT_EQ(kept[i].second.right_ext,
+                ufx[static_cast<std::size_t>(r)][i].second.right_ext);
+    }
+    records += kept.size();
+  }
+  EXPECT_GT(records, 15000u);
+  EXPECT_EQ(ka.histogram(), histogram);
+  EXPECT_EQ(ka.peak_table_entries(), peak);
+}
+
 TEST(KmerAnalysis, CardinalityEstimateIsSane) {
   sim::GenomeConfig gc;
   gc.length = 40000;

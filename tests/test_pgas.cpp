@@ -350,6 +350,74 @@ TEST(DistHashMap, ForEachLocalVisitsOwnShardExactly) {
   EXPECT_EQ(visited.load(), 500u);
 }
 
+TEST(DistHashMap, ExactShardGeometryOnThreeRanks) {
+  // Capacities that are not powers of two, on a rank count that is not
+  // either: each shard gets exactly ceil(2 * per_shard / kInline) buckets,
+  // and the multiply-shift bucket choice still finds, visits and compacts
+  // every entry. 10 keys of capacity with 900 keys chains every bucket.
+  const int p = 3;
+  ThreadTeam team(Topology{p, 2});
+  for (const std::size_t capacity : {10, 1000, 3001}) {
+    SCOPED_TRACE(capacity);
+    CountMap map(team, CountMap::Config{.global_capacity = capacity,
+                                        .flush_threshold = 16});
+    const std::size_t per_shard = (capacity + p - 1) / p;
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(map.bucket_count(r),
+                (2 * per_shard + CountMap::kInline - 1) / CountMap::kInline);
+    const std::uint64_t nkeys = 900;
+    std::vector<std::multiset<std::uint64_t>> visited(p);
+    std::vector<std::size_t> erased(p, 0);
+    team.run([&](Rank& rank) {
+      // Every rank adds key + 1 to every key of its stride.
+      for (std::uint64_t key = static_cast<std::uint64_t>(rank.id());
+           key < nkeys; key += p)
+        map.update_buffered(rank, key * 7919, key + 1);
+      map.flush(rank);
+      rank.barrier();
+      for (std::uint64_t key = 0; key < nkeys; ++key)
+        EXPECT_EQ(map.find(rank, key * 7919).value_or(0), key + 1) << key;
+      auto& mine = visited[static_cast<std::size_t>(rank.id())];
+      map.for_each_local(rank, [&](const std::uint64_t& k, std::uint64_t&) {
+        mine.insert(k);
+      });
+      rank.barrier();
+      erased[static_cast<std::size_t>(rank.id())] = map.erase_local_if(
+          rank, [](const std::uint64_t&, const std::uint64_t& v) {
+            return v % 3 == 0;
+          });
+      rank.barrier();
+      for (std::uint64_t key = 0; key < nkeys; ++key)
+        EXPECT_EQ(map.find(rank, key * 7919).has_value(), (key + 1) % 3 != 0)
+            << key;
+    });
+    std::set<std::uint64_t> all;
+    for (int r = 0; r < p; ++r) {
+      const auto& mine = visited[static_cast<std::size_t>(r)];
+      for (const std::uint64_t k : mine) {
+        EXPECT_EQ(map.owner_of(k), static_cast<std::uint32_t>(r));
+        EXPECT_EQ(mine.count(k), 1u) << k;
+        all.insert(k);
+      }
+    }
+    EXPECT_EQ(all.size(), nkeys);
+    EXPECT_EQ(std::accumulate(erased.begin(), erased.end(), std::size_t{0}),
+              nkeys / 3);
+    EXPECT_EQ(map.size_unsafe(), nkeys - nkeys / 3);
+    // Compaction leaves each survivor exactly once in its owner's shard.
+    team.run([&](Rank& rank) {
+      std::multiset<std::uint64_t> left;
+      map.for_each_local(rank, [&](const std::uint64_t& k, std::uint64_t& v) {
+        EXPECT_NE(v % 3, 0u);
+        left.insert(k);
+      });
+      EXPECT_EQ(left.size(), map.local_size(rank.id()));
+      EXPECT_EQ(std::set<std::uint64_t>(left.begin(), left.end()).size(),
+                left.size());
+    });
+  }
+}
+
 TEST(DistHashMap, CustomRankMapperControlsPlacement) {
   ThreadTeam team(Topology{4, 2});
   Map map(team, Map::Config{.global_capacity = 256, .flush_threshold = 4});

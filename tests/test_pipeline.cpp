@@ -147,15 +147,31 @@ TEST(Pipeline, EndToEndHumanLike) {
 
 TEST(Pipeline, StageLinePutsKmerPassWallsBeforeModeled) {
   // Tools strip "wall ... , " and parse what follows ", modeled ", so the
-  // pass walls sit between the two with no comma of their own.
+  // pass walls and the RSS mark sit between the two with no comma of their
+  // own. A repeated stage shows its highest mark.
   PipelineResult result;
-  result.stages.push_back(StageReport{kStageKmerAnalysis, 1.5, 0.25, {}});
-  result.stages.push_back(StageReport{kStageContigGen, 0.5, 0.125, {}});
+  result.stages.push_back(
+      StageReport{kStageKmerAnalysis, 1.5, 0.25, {}, 155.5});
+  result.stages.push_back(StageReport{kStageContigGen, 0.5, 0.125, {}, 160});
+  result.stages.push_back(StageReport{kStageContigGen, 0.25, 0.125, {}, 158});
   result.kmer_passes = kcount::KmerPassSeconds{0.25, 0.5, 0.625, 0.125};
   EXPECT_EQ(result.format_stages(),
             "  kmer_analysis: wall 1.5s (sketch 0.25s candidate 0.5s count "
-            "0.625s finalize 0.125s), modeled 0.25s\n"
-            "  contig_generation: wall 0.5s, modeled 0.125s\n");
+            "0.625s finalize 0.125s) peak_rss 155.5MB, modeled 0.25s\n"
+            "  contig_generation: wall 0.75s peak_rss 160MB, modeled 0.25s\n");
+}
+
+TEST(Pipeline, StagesRecordTheRssHighWaterMark) {
+  auto ds = sim::make_human_like(20000, 7781, 15.0);
+  Pipeline pipeline(pgas::Topology{2, 2}, small_config());
+  const auto result = pipeline.run(ds.reads, ds.libraries);
+  ASSERT_FALSE(result.stages.empty());
+  double previous = 0.0;
+  for (const auto& stage : result.stages) {
+    EXPECT_GT(stage.peak_rss_mb, 0.0) << stage.name;
+    EXPECT_GE(stage.peak_rss_mb, previous) << stage.name;
+    previous = stage.peak_rss_mb;
+  }
 }
 
 TEST(Pipeline, EndToEndWheatLike) {
