@@ -11,6 +11,9 @@
 //      (update_buffered -> flush) with the table's batches riding the
 //      lossy fabric. This is the number that matters for the pipeline:
 //      end-to-end store throughput including dedup/reorder bookkeeping.
+//      The clean row measures the in-place path (no frame, no CRC: the
+//      transport lets each in-process batch apply from the engine's
+//      buffer); every chaos row frames each batch between two ranks.
 //
 // Assemblies are byte-identical under every schedule (tests/test_chaos.cpp
 // asserts that); this bench reports what that guarantee costs.

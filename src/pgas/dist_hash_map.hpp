@@ -56,6 +56,13 @@
 ///     fronted by a per-rank direct-mapped ReadCache (`enable_read_cache`)
 ///     for read-only phases. The cache self-invalidates across write-phase
 ///     boundaries via the table's write-version counter.
+///
+/// A full batch whose owner is in this process, on a link no fault can
+/// touch, is applied straight from the engine's buffer once the transport
+/// claims the hop (Transport::claim_clean_hop), as a UPC store to a
+/// same-node owner is a plain shared-memory write. Every other batch —
+/// chaos armed, blackholed, or bound for another process — is encoded with
+/// the map_wire codecs and framed through Transport::send.
 namespace hipmer::pgas {
 
 /// Default conflict policy: last write wins.
@@ -551,9 +558,9 @@ class DistHashMap {
   // Slotted by fmix64 of the key hash, like the shard buckets.
   using Cache = ReadCache<K, V>;
 
-  // Every batch travels the transport as a memcpy'd byte envelope, so
-  // chaos and the multi-process fabric see all table traffic; that needs
-  // trivially copyable keys and values.
+  // A batch that leaves the process or crosses a chaos-armed or
+  // blackholed link travels the transport as a memcpy'd byte envelope;
+  // that needs trivially copyable keys and values.
   static_assert(std::is_trivially_copyable_v<StoreOp>,
                 "DistHashMap store ops must be wire-serializable");
   static_assert(std::is_trivially_copyable_v<LookupReq>,
@@ -588,6 +595,11 @@ class DistHashMap {
 
   void ship_store_batch(Rank& rank, std::uint32_t dest,
                         std::vector<StoreOp>& ops) {
+    if (team_->transport().claim_clean_hop(rank.id(), static_cast<int>(dest),
+                                           store_channel_)) {
+      apply_store_batch(rank, dest, ops);
+      return;
+    }
     try {
       team_->transport().send(rank.id(), static_cast<int>(dest),
                               store_channel_, map_wire::encode_batch(ops),
@@ -601,6 +613,11 @@ class DistHashMap {
   template <typename Handler>
   void ship_lookup_batch(Rank& rank, std::uint32_t dest,
                          std::vector<LookupReq>& reqs, Handler& handler) {
+    if (team_->transport().claim_clean_hop(rank.id(), static_cast<int>(dest),
+                                           lookup_channel_)) {
+      answer_lookup_batch(rank, dest, reqs, handler);
+      return;
+    }
     if (!team_->is_local(static_cast<int>(dest))) {
       // The owner answers with one oneway reply message per request batch
       // (the transport dedups retransmits, so exactly one per send).

@@ -12,10 +12,13 @@
 /// and the lookup reply; a remote find() travels as a one-request lookup
 /// batch answered by a one-entry reply — extracted from the map template
 /// so each codec is a plain annotated free function wirecheck can diff and
-/// the schema sweeps can corrupt. All of these payloads ride inside
-/// CRC-checked transport envelopes or fabric frames, but still decode
-/// through the throwing Reader API: a framing bug upstream surfaces as a
-/// clean CorruptError instead of a misparse.
+/// the schema sweeps can corrupt. A batch is encoded only when its hop is
+/// framed (another process, or a chaos-armed or blackholed link); a clean
+/// in-process hop applies the batch in place and never reaches these
+/// codecs. Encoded payloads ride inside CRC-checked transport envelopes or
+/// fabric frames, but still decode through the throwing Reader API: a
+/// framing bug upstream surfaces as a clean CorruptError instead of a
+/// misparse.
 namespace hipmer::pgas::map_wire {
 
 /// One entry of a lookup reply batch: the echoed request tag and key, plus

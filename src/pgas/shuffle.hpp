@@ -17,9 +17,11 @@
 /// All-to-all record exchange over the lossy-transport envelope path: the
 /// communication substrate of the read shuffle (and any future
 /// redistribution stage). Callers hand in opaque byte records addressed to
-/// a destination rank; the engine batches them per destination, the
-/// transport ships each batch under the usual seq/CRC/retry protocol (so
-/// the shuffle survives drop/dup/reorder chaos like every other channel),
+/// a destination rank; the engine batches them per destination, and each
+/// batch is either appended straight to its inbox cell (a clean in-process
+/// hop the transport lets the sender claim) or shipped under the usual
+/// seq/CRC/retry protocol (so the shuffle survives drop/dup/reorder chaos
+/// like every other channel),
 /// and `collect()` returns — after a flush + drain + barrier — every
 /// record addressed to the calling rank, grouped by source rank in
 /// per-link send order. That ordering is deterministic for a fixed send
@@ -139,22 +141,31 @@ class ShuffleExchange {
   }
 
  private:
-  /// Frame a batch ([u32 len][bytes] per record) and ship it.
+  /// Encode a batch ([u32 len][bytes] per record) and ship it: straight
+  /// into the inbox cell when the transport claims the hop, otherwise as
+  /// one framed payload.
   void ship(Rank& rank, std::uint32_t dest,
             std::vector<std::vector<std::byte>>& batch) {
     if (batch.empty()) return;
     std::size_t total = 0;
     for (const auto& rec : batch) total += 4 + rec.size();
+    rank.charge_message(static_cast<int>(dest), total, batch.size());
+    const int src = rank.id();
+    const bool in_place =
+        team_->transport().claim_clean_hop(src, static_cast<int>(dest),
+                                           channel_);
     std::vector<std::byte> payload;
-    payload.reserve(total);
-    io::wire::Writer w(payload);
+    std::vector<std::byte>& out =
+        in_place ? inbox_[dest][static_cast<std::size_t>(src)] : payload;
+    if (!in_place) payload.reserve(total);
+    io::wire::Writer w(out);
     for (const auto& rec : batch)
       w.put_bytes(std::string_view(reinterpret_cast<const char*>(rec.data()),
                                    rec.size()));
-    rank.charge_message(static_cast<int>(dest), payload.size(), batch.size());
-    team_->transport().send(rank.id(), static_cast<int>(dest), channel_,
+    if (in_place) return;
+    team_->transport().send(src, static_cast<int>(dest), channel_,
                             std::move(payload), rank.stats(),
-                            deliver_from(rank.id()));
+                            deliver_from(src));
   }
 
   ThreadTeam* team_;

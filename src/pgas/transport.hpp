@@ -50,10 +50,17 @@
 /// histograms and backoff accounting are therefore identical on both
 /// fabrics for the same seed.
 ///
-/// Faults are injected by a seeded deterministic ChaosPlan (chaos.hpp);
-/// with no plan armed, every envelope still runs the full seq/CRC protocol
-/// but always takes the clean-delivery path, so the machinery is exercised
-/// (and stays TSan-clean) on every ordinary test run.
+/// Faults are injected by a seeded deterministic ChaosPlan (chaos.hpp).
+/// Only a hop that can go wrong is framed. When a link's receiver half is
+/// in this process, no fault can touch it (no chaos probability armed for
+/// the channel, no blackhole on the link) and nothing of it is still in
+/// the network, the caller claims the hop (`claim_clean_hop`) and applies
+/// its own in-memory batch: the sequence numbers and the retry histogram
+/// advance exactly as for a clean framed delivery, but nothing is
+/// serialized, framed or checksummed, because nothing could corrupt,
+/// drop, duplicate or reorder it. Chaos-armed channels, blackholed links
+/// and hops to another process run the full seq/CRC protocol through
+/// send(); the chaos tests and the multi-process fabric exercise it.
 ///
 /// Threading: all state for link (channel, src, dst) is read and written
 /// only by rank `src`'s thread (on a multi-process fabric, its receiver
@@ -190,6 +197,17 @@ class Transport {
   void set_max_attempts(int n) { max_attempts_ = n < 1 ? 1 : n; }
   [[nodiscard]] int max_attempts() const noexcept { return max_attempts_; }
 
+  /// Claim the next hop from `src` to `dst` on `ch` for an in-place apply
+  /// (called on src's thread). True only when the receiver half of the
+  /// link is in this process, send() would not misbehave on the link, the
+  /// link has nothing in limbo or in its reorder buffer, and its send and
+  /// receive sequence numbers agree. A claimed hop
+  /// is booked as a clean framed delivery would be: both sequence numbers
+  /// advance before the caller applies (the idempotence rule of receive)
+  /// and the channel's histogram counts it in bucket 0. On false, ship the
+  /// batch through send().
+  [[nodiscard]] bool claim_clean_hop(int src, int dst, ChannelId ch);
+
   /// Send one batch payload from `src` to `dst` on `ch`. `deliver(dst,
   /// data, size)` is the receiver-side apply function; it is invoked
   /// exactly once per distinct envelope, in per-link seq order, and never
@@ -273,6 +291,14 @@ class Transport {
   [[nodiscard]] bool blackholed(int src, int dst) const noexcept {
     const int bh = blackhole_rank_;
     return bh >= 0 && (src == bh || dst == bh);
+  }
+
+  /// Whether the fabric may misbehave on this hop. A self-send never
+  /// crosses the network, even on a blackholed rank.
+  [[nodiscard]] bool lossy(const Channel& chan, int src,
+                           int dst) const noexcept {
+    return src != dst &&
+           (blackholed(src, dst) || (chaos_on_ && chan.probs.any()));
   }
 
   /// Deterministic virtual backoff for the k-th retry: exponential base
@@ -419,18 +445,15 @@ void Transport::send(int src, int dst, ChannelId ch,
   env.payload = std::move(payload);
   std::vector<std::byte> wire = frame_envelope(env);
 
-  // Self-sends and chaos-off traffic still run the full seq/CRC/dedup
-  // protocol, but the fabric never misbehaves: a self-send never crosses
-  // the network, even on a blackholed rank. Fates are pure hashes of
-  // (seed, channel, src, dst, seq, attempt), so the sender knows each
-  // attempt's outcome without an ack round-trip — on either fabric.
-  const bool lossy =
-      src != dst && (blackholed(src, dst) || (chaos_on_ && chan.probs.any()));
+  // Fates are pure hashes of (seed, channel, src, dst, seq, attempt), so
+  // the sender knows each attempt's outcome without an ack round-trip — on
+  // either fabric.
+  const bool may_fail = lossy(chan, src, dst);
   int attempt = 0;
   for (;;) {
     bool acked = false;
     const ChaosFate fate =
-        !lossy                 ? ChaosFate::kDeliver
+        !may_fail              ? ChaosFate::kDeliver
         : blackholed(src, dst) ? ChaosFate::kDrop
                                : chaos_fate(chan.probs, plan_.seed, ch, src,
                                             dst, env.seq, attempt);
@@ -503,6 +526,21 @@ void Transport::drain(int src, ChannelId ch, CommStats& stats,
     // guarantees before the next barrier release.
     assert(remote(dst) || link.reorder.empty());
   }
+}
+
+inline bool Transport::claim_clean_hop(int src, int dst, ChannelId ch) {
+  Channel& chan = channel(ch);
+  if (remote(dst) || lossy(chan, src, dst)) return false;
+  Link& link = link_of(chan, src, dst);
+  // Equal sequence numbers: a framed envelope would be applied at once,
+  // not dropped as a duplicate or held for a gap.
+  if (!link.limbo.empty() || !link.reorder.empty() ||
+      link.next_send_seq != link.next_recv_seq)
+    return false;
+  ++link.next_send_seq;
+  ++link.next_recv_seq;
+  chan.hist[0].fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 inline std::size_t Transport::pending(int src, ChannelId ch) const {

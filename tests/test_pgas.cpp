@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "pgas/aggregating_engine.hpp"
+#include "pgas/chaos.hpp"
 #include "pgas/dist_hash_map.hpp"
 #include "pgas/machine_model.hpp"
 #include "pgas/read_cache.hpp"
@@ -674,6 +679,79 @@ TEST(DistHashMap, BatchedLookupsMatchFind) {
     for (std::size_t i = 0; i < keys.size(); ++i)
       EXPECT_EQ(answered[i], 1) << keys[i];
   });
+}
+
+TEST(DistHashMap, InPlaceAndFramedHopsAgree) {
+  // The same stores and batched lookups twice: over clean in-process links,
+  // where every batch is applied in place, and under a seeded lossy
+  // schedule, where every batch between two ranks is framed, retried,
+  // deduplicated and reordered. Tables, replies and each rank's traffic
+  // counters must agree.
+  const int p = 4;
+  using Reply = std::tuple<std::uint64_t, bool, std::uint64_t>;
+  struct Outcome {
+    std::vector<std::map<std::uint64_t, std::uint64_t>> shards;
+    std::vector<std::vector<Reply>> replies;
+    std::vector<CommStatsSnapshot> stats;
+  };
+  auto run = [&](const std::string& chaos_spec) {
+    ThreadTeam team(Topology{p, 2});
+    team.transport().set_plan(ChaosPlan::parse(77, chaos_spec));
+    CountMap map(team, CountMap::Config{.global_capacity = 2048,
+                                        .flush_threshold = 16});
+    Outcome out;
+    out.shards.resize(p);
+    out.replies.resize(p);
+    team.run([&](Rank& rank) {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(rank.id()) + 5);
+      for (std::uint64_t i = 0; i < 3000; ++i)
+        map.update_buffered(rank, rng() % 700, i % 7 + 1);
+      map.flush(rank);
+      rank.barrier();
+      auto& mine = out.replies[static_cast<std::size_t>(rank.id())];
+      auto record = [&](const std::uint64_t& key, const std::uint64_t* value,
+                        std::uint64_t tag) {
+        EXPECT_EQ(key, tag);
+        mine.emplace_back(tag, value != nullptr,
+                          value != nullptr ? *value : 0);
+      };
+      for (std::uint64_t key = 0; key < 800; ++key)
+        map.find_buffered(rank, key, key, record);
+      map.process_lookups(rank, record);
+      std::sort(mine.begin(), mine.end());
+      map.for_each_local(rank, [&](const std::uint64_t& key,
+                                   std::uint64_t& value) {
+        out.shards[static_cast<std::size_t>(rank.id())][key] = value;
+      });
+    });
+    out.stats = team.snapshot_all();
+    return out;
+  };
+  const Outcome in_place = run("");
+  const Outcome framed =
+      run("drop=0.1,dup=0.05,reorder=0.1,delay=0.1,corrupt=0.05");
+
+  EXPECT_EQ(framed.shards, in_place.shards);
+  EXPECT_EQ(framed.replies, in_place.replies);
+  std::uint64_t faults = 0;
+  for (int r = 0; r < p; ++r) {
+    const auto& a = in_place.stats[static_cast<std::size_t>(r)];
+    const auto& b = framed.stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(b.local_accesses, a.local_accesses) << "rank " << r;
+    EXPECT_EQ(b.onnode_msgs, a.onnode_msgs) << "rank " << r;
+    EXPECT_EQ(b.offnode_msgs, a.offnode_msgs) << "rank " << r;
+    EXPECT_EQ(b.onnode_bytes, a.onnode_bytes) << "rank " << r;
+    EXPECT_EQ(b.offnode_bytes, a.offnode_bytes) << "rank " << r;
+    EXPECT_EQ(b.recv_ops, a.recv_ops) << "rank " << r;
+    EXPECT_EQ(a.transport_retries + a.transport_dups + a.transport_reorders +
+                  a.transport_corrupts,
+              0u);
+    faults += b.transport_retries + b.transport_dups + b.transport_reorders;
+  }
+  EXPECT_GT(faults, 0u);  // the lossy run really framed its batches
+  std::size_t entries = 0;
+  for (const auto& shard : in_place.shards) entries += shard.size();
+  EXPECT_EQ(entries, 700u);
 }
 
 TEST(DistHashMap, DrainInvariantAfterFlushAndProcessLookups) {

@@ -79,6 +79,7 @@ TEST_F(PhaseCheckerTest, LookupWithOwnBufferedStoresPending) {
   Map map(team, Map::Config{.global_capacity = 256, .flush_threshold = 64});
   map.set_name("test.map");
   EXPECT_THROW(team.run([&](pgas::Rank& rank) {
+                 // lint-phases: allow(flush-missing)
                  map.update_buffered(rank, 7, 1);
                  (void)map.find(rank, 7);  // never flushed
                }),
@@ -148,6 +149,7 @@ TEST_F(PhaseCheckerTest, BarrierWithBufferedRowsPending) {
   Map map(team, Map::Config{.global_capacity = 256, .flush_threshold = 64});
   map.set_name("test.map");
   EXPECT_THROW(team.run([&](pgas::Rank& rank) {
+                 // lint-phases: allow(flush-missing)
                  map.update_buffered(rank, 5, 1);
                  rank.barrier();  // no flush() before the phase boundary
                }),
@@ -232,6 +234,7 @@ TEST_F(PhaseCheckerTest, FineAndBufferedStoresInOneEpoch) {
   Map map(team, Map::Config{.global_capacity = 256, .flush_threshold = 64});
   map.set_name("test.map");
   EXPECT_THROW(team.run([&](pgas::Rank& rank) {
+                 // lint-phases: allow(flush-missing)
                  map.update(rank, 1, 1);
                  map.update_buffered(rank, 2, 1);  // same epoch, same table
                }),

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -615,6 +616,122 @@ TEST(Transport, LocalAndRemoteHopsAgree) {
   EXPECT_GT(ls.transport_dups, 0u);
   EXPECT_GT(ls.transport_reorders, 0u);
   EXPECT_EQ(tx.pending(0, tx_ch), 0u);
+}
+
+// ---- in-place hops ----
+
+TEST(Transport, ClaimsOnlyHopsThatCannotMisbehave) {
+  Harness h;
+  const auto ch = h.tp.open_channel("kcount.counts/store");
+  const auto other = h.tp.open_channel("align.seed_index/lookup");
+  // A clean in-process link: claimed, and booked as a first-try delivery.
+  EXPECT_TRUE(h.tp.claim_clean_hop(0, 1, ch));
+  EXPECT_TRUE(h.tp.claim_clean_hop(2, 2, ch));
+  EXPECT_EQ(h.tp.channel_reports()[ch].attempts_hist[0], 2u);
+
+  // A lossy plan for the channel: framed. Another channel and self-hops,
+  // which never misbehave, stay claimable.
+  ChaosPlan lossy;
+  lossy.seed = 5;
+  lossy.per_channel.emplace_back("counts", ChaosProbs{0.1, 0.0, 0.0, 0.0, 0.0});
+  h.tp.set_plan(lossy);
+  EXPECT_FALSE(h.tp.claim_clean_hop(0, 1, ch));
+  EXPECT_TRUE(h.tp.claim_clean_hop(0, 1, other));
+  EXPECT_TRUE(h.tp.claim_clean_hop(1, 1, ch));
+
+  // A blackholed link, in either direction: framed.
+  ChaosPlan blackhole;
+  blackhole.seed = 5;
+  blackhole.blackholes.push_back(pgas::BlackholeRule{2, "contig_generation", 0});
+  h.tp.set_plan(blackhole);
+  h.tp.begin_stage("contig_generation");
+  ASSERT_EQ(h.tp.blackholed_rank(), 2);
+  EXPECT_FALSE(h.tp.claim_clean_hop(0, 2, ch));
+  EXPECT_FALSE(h.tp.claim_clean_hop(2, 0, ch));
+  EXPECT_TRUE(h.tp.claim_clean_hop(0, 1, ch));
+
+  // A link holding a limbo envelope: framed, even once the plan is
+  // disarmed, until a drain releases it.
+  h.arm(ChaosProbs{0.0, 0.0, 1.0, 0.0, 0.0}, 7);
+  h.send(0, 3, ch, 42);
+  ASSERT_EQ(h.tp.pending(0, ch), 1u);
+  h.tp.set_plan(ChaosPlan{});
+  EXPECT_FALSE(h.tp.claim_clean_hop(0, 3, ch));
+  h.drain(0, ch);
+  EXPECT_EQ(h.delivered_to(3), std::vector<std::uint64_t>{42});
+  EXPECT_TRUE(h.tp.claim_clean_hop(0, 3, ch));
+
+  const auto s = h.stats.snapshot();
+  EXPECT_EQ(s.transport_retries + s.transport_dups + s.transport_reorders +
+                s.transport_corrupts,
+            0u);
+  const auto reports = h.tp.channel_reports();
+  EXPECT_EQ(reports[ch].attempts_hist[0], 5u);  // a released hold is not counted
+  EXPECT_EQ(reports[other].attempts_hist[0], 1u);
+}
+
+TEST(Transport, ClaimsNoHopToAnotherProcess) {
+  pgas::FaultInjector faults;
+  RecordingFabric fabric(2, 0);
+  Transport tp(2, faults);
+  tp.attach_fabric(fabric);
+  const auto ch = tp.open_channel("test");
+  EXPECT_FALSE(tp.claim_clean_hop(0, 1, ch));
+  EXPECT_TRUE(tp.claim_clean_hop(0, 0, ch));  // this process's own rank
+  // The refused claim booked nothing: the next framed send is seq 0.
+  pgas::CommStats stats;
+  tp.send(0, 1, ch, payload_of(9), stats,
+          [](int, const std::byte*, std::size_t) {});
+  ASSERT_EQ(fabric.shipped.size(), 1u);
+  const auto& f = fabric.shipped[0].frame;
+  EXPECT_EQ(pgas::decode_envelope(f.data(), f.size()).seq, 0u);
+  EXPECT_EQ(tp.channel_reports()[ch].attempts_hist[0], 2u);
+}
+
+TEST(Transport, InPlaceThenFramedHopsSequenceExactlyOnce) {
+  // N claimed hops, then the channel turns lossy between phases (serial
+  // context) and the same link carries framed envelopes. The first framed
+  // envelope must apply at once, neither dropped as a duplicate (send seq
+  // not advanced) nor held as a gap (recv seq not advanced).
+  Harness h;
+  const auto ch = h.tp.open_channel("test");
+  constexpr std::uint64_t kInPlace = 40;
+  constexpr std::uint64_t kFramed = 200;
+  std::vector<std::uint64_t> applied;
+  for (std::uint64_t i = 0; i < kInPlace; ++i) {
+    ASSERT_TRUE(h.tp.claim_clean_hop(0, 1, ch));
+    applied.push_back(i);
+  }
+  const ChaosProbs drops{0.3, 0.0, 0.0, 0.0, 0.0};
+  const std::uint64_t seed = 23;
+  h.arm(drops, seed);
+  ASSERT_FALSE(h.tp.claim_clean_hop(0, 1, ch));
+  h.send(0, 1, ch, kInPlace);
+  EXPECT_EQ(h.delivered_to(1), std::vector<std::uint64_t>{kInPlace});
+  EXPECT_EQ(h.stats.snapshot().transport_dups, 0u);
+  EXPECT_EQ(h.stats.snapshot().transport_reorders, 0u);
+  for (std::uint64_t i = kInPlace + 1; i < kInPlace + kFramed; ++i)
+    h.send(0, 1, ch, i);
+  h.drain(0, ch);
+  const auto framed = h.delivered_to(1);
+  applied.insert(applied.end(), framed.begin(), framed.end());
+  EXPECT_EQ(applied, iota_u64(kInPlace + kFramed));
+
+  const auto s = h.stats.snapshot();
+  EXPECT_EQ(s.transport_dups, 0u);
+  EXPECT_EQ(s.transport_reorders, 0u);
+  EXPECT_GT(s.transport_retries, 0u);
+  // Framed seqs continue at kInPlace: bucket 0 holds every claimed hop
+  // plus each framed send whose first attempt the schedule delivers.
+  std::uint64_t first_try = 0;
+  for (std::uint64_t seq = kInPlace; seq < kInPlace + kFramed; ++seq)
+    if (pgas::chaos_fate(drops, seed, ch, 0, 1, seq, 0) ==
+        pgas::ChaosFate::kDeliver)
+      ++first_try;
+  const auto hist = h.tp.channel_reports()[ch].attempts_hist;
+  EXPECT_EQ(hist[0], kInPlace + first_try);
+  EXPECT_EQ(std::accumulate(hist.begin(), hist.end(), std::uint64_t{0}),
+            kInPlace + kFramed);
 }
 
 // ---- chaos plan parsing ----

@@ -23,7 +23,10 @@ Rules (one finding line each, grep-able by the code in brackets):
   [flush-unpublished]  a function flushes buffered stores but never reaches
                        a barrier-crossing collective afterwards: the rows
                        are at their owners, but no rank may read them until
-                       a barrier publishes the phase change.
+                       a barrier publishes the phase change. The end of an
+                       inline `team.run([..](..) { ... })` lambda counts as
+                       one: run() returns only after every rank has left
+                       the SPMD region.
 
 False-positive escape hatch: a finding is suppressed by a trailing or
 preceding comment `// lint-phases: allow(<code>)` naming the rule, e.g.
@@ -71,6 +74,10 @@ FIND_BUFFERED_RE = re.compile(r"(?:\.|->)find_buffered\s*\(")
 PROCESS_LOOKUPS_RE = re.compile(r"(?:\.|->)process_lookups\s*\(")
 ENABLE_CACHE_RE = re.compile(r"(?:\.|->)enable_read_cache\s*\(")
 DISABLE_CACHE_RE = re.compile(r"(?:\.|->)disable_read_cache\s*\(")
+# The head of a namespace block: `namespace {`, `namespace a::b {`.
+NAMESPACE_RE = re.compile(r"\bnamespace(\s+[\w:]+)?\s*$")
+# The head of an inline SPMD lambda: `team.run([&](Rank& rank) {`.
+RUN_LAMBDA_RE = re.compile(r"\.run\s*\(\s*\[[^\]]*\]\s*\([^)]*\)\s*$")
 
 # A line that *defines* one of the API entry points (the PGAS layer itself)
 # rather than calling it; files under src/pgas implement the API and are
@@ -112,6 +119,7 @@ class Function:
         self.start_line = start_line
         self.lines: list[tuple[int, str]] = []  # (lineno, stripped code)
         self.allows: set[str] = set()
+        self.run_ends: list[int] = []  # lines closing a team.run lambda
 
     def find_all(self, regex: re.Pattern) -> list[int]:
         return [no for no, code in self.lines if regex.search(code)]
@@ -120,16 +128,21 @@ class Function:
 def split_functions(text: str) -> list[Function]:
     """Carve the file into top-level-ish brace-balanced function bodies.
 
-    Heuristic: a body starts at a `{` on a line whose code portion contains
-    `(` ... `)` before it (function signature or lambda) and ends when the
-    brace depth returns to its opening level. Nested lambdas stay inside
-    their enclosing function — phase protocols routinely span the SPMD
-    lambda passed to team.run(), and splitting there would hide the pairing.
+    Heuristic: every outermost brace block that is not a namespace is one
+    body, ending when the brace depth returns to its opening level.
+    Namespace blocks (named, nested or anonymous) are transparent: their
+    members are the bodies, so a flush or barrier in one function never
+    satisfies a rule for another. Class blocks stay whole, and nested
+    lambdas stay inside their enclosing function — phase protocols
+    routinely span the SPMD lambda passed to team.run(), and splitting
+    there would hide the pairing.
     """
     functions: list[Function] = []
     current: Function | None = None
     depth = 0
     open_depth = 0
+    namespaces: list[int] = []  # depth outside each open namespace block
+    runs: list[int] = []  # depth outside each open team.run lambda
     in_block_comment = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,23 +173,30 @@ def split_functions(text: str) -> list[Function]:
         if current is not None:
             current.lines.append((lineno, code))
 
-        for ch in code:
+        for col, ch in enumerate(code):
             if ch == "{":
-                if current is None and depth >= 0:
-                    # Treat every outermost brace block as a "function";
-                    # namespace/class blocks contribute their member
-                    # definitions, which is the granularity we want.
+                if current is None and NAMESPACE_RE.search(code[:col]):
+                    namespaces.append(depth)
+                elif current is None and depth >= 0:
                     current = Function(lineno)
                     current.lines.append((lineno, code))
                     if allow:
                         current.allows.add(allow.group(1))
                     open_depth = depth
+                elif current is not None and RUN_LAMBDA_RE.search(code[:col]):
+                    runs.append(depth)
                 depth += 1
             elif ch == "}":
                 depth -= 1
+                if current is not None and runs and depth == runs[-1]:
+                    runs.pop()
+                    current.run_ends.append(lineno)
                 if current is not None and depth == open_depth:
                     functions.append(current)
                     current = None
+                    runs.clear()
+                elif current is None and namespaces and depth == namespaces[-1]:
+                    namespaces.pop()
     if current is not None:
         functions.append(current)
     return functions
@@ -221,7 +241,7 @@ def lint_file(path: Path) -> list[str]:
             )
         if flushes and "flush-unpublished" not in fn.allows:
             last_flush = flushes[-1]
-            barriers = fn.find_all(BARRIER_RE)
+            barriers = fn.find_all(BARRIER_RE) + fn.run_ends
             if not any(b >= last_flush for b in barriers):
                 findings.append(
                     f"{path}:{last_flush}: [flush-unpublished] flush() with no "
