@@ -37,11 +37,6 @@ inline constexpr const char* kRestoreFaultStage = "restore";
 struct CheckpointConfig {
   /// Run directory; empty disables checkpointing entirely.
   std::string dir;
-  enum class Granularity {
-    kStage,  ///< snapshot every artifact (reads, ufx, contigs, alignments, scaffolds)
-    kRound,  ///< skip the bulky per-round alignments; rounds restart at their top
-  };
-  Granularity granularity = Granularity::kStage;
   /// Keep only the newest N entries (plus the newest entry's dependency
   /// closure); 0 keeps everything.
   int keep_last = 0;

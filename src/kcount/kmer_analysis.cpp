@@ -4,7 +4,7 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "seq/kmer_scanner.hpp"
+#include "kcount/histogram.hpp"
 #include "util/timer.hpp"
 
 namespace hipmer::kcount {
@@ -40,8 +40,12 @@ void KmerAnalysis::run(pgas::Rank& rank,
   };
   sketch_pass(rank, read_sets);
   lap(pass_seconds_.sketch);
-  allocate(rank);
-  if (config_.use_bloom) candidate_pass(rank, read_sets);
+  // Sized for what the counting pass admits: heavy hitters bypass the
+  // filters; without them, every distinct k-mer gets in.
+  allocate_table(rank, config_.use_bloom
+                           ? candidate_pass(rank, read_sets) +
+                                 heavy_hitters_.size()
+                           : static_cast<std::size_t>(cardinality_estimate_));
   lap(pass_seconds_.candidate);
   counting_pass(rank, read_sets);
   lap(pass_seconds_.count);
@@ -146,123 +150,105 @@ void KmerAnalysis::sketch_pass(
   rank.barrier();
 }
 
-void KmerAnalysis::allocate(pgas::Rank& rank) {
-  // Root allocates on behalf of the whole team (threads fabric: shared
-  // memory, the barrier publishes); every process of a multi-process team
-  // constructs its own instance — cardinality_estimate_ is a replicated
-  // reduction result, so the table geometry and the fabric service ids it
-  // registers come out identical in every process.
-  if (rank.is_root() || team_.multiprocess()) {
-    const auto est = static_cast<std::size_t>(
-        std::max(1024.0, cardinality_estimate_));
-    Map::Config mc;
-    mc.global_capacity = std::max<std::size_t>(
-        1024, static_cast<std::size_t>(static_cast<double>(est) *
-                                       config_.candidate_fraction));
-    mc.flush_threshold = config_.flush_threshold;
-    table_ = std::make_unique<Map>(team_, mc);
-    table_->set_name("kcount.counts");
-    if (config_.use_bloom) {
-      const std::size_t per_rank =
-          est / static_cast<std::size_t>(team_.nranks()) + 1024;
-      for (std::size_t b = 0; b < blooms_.size(); ++b) {
-        if (team_.multiprocess() && !team_.is_local(static_cast<int>(b)))
-          continue;
-        blooms_[b] = std::make_unique<BloomFilter>(per_rank);
-        repeat_blooms_[b] = std::make_unique<BloomFilter>(per_rank);
-      }
-      // A counting-pass store whose k-mer is not in the table yet inserts
-      // it only if its owner sighted it twice in the candidate pass.
-      table_->set_admission([this](std::uint32_t owner, std::uint64_t hash) {
-        return repeat_blooms_[owner]->test(hash);
-      });
-    }
-  }
-  rank.barrier();
-}
-
-void KmerAnalysis::candidate_pass(
+std::uint64_t KmerAnalysis::candidate_pass(
     pgas::Rank& rank, const std::vector<seq::ReadSetView>& read_sets) {
+  // Each owner's filters hold only the k-mers routed to it, so every rank
+  // allocates its own.
   const auto me = static_cast<std::size_t>(rank.id());
+  const std::size_t per_rank =
+      static_cast<std::size_t>(std::max(1024.0, cardinality_estimate_)) /
+          static_cast<std::size_t>(rank.nranks()) +
+      1024;
+  blooms_[me] = std::make_unique<BloomFilter>(per_rank);
+  repeat_blooms_[me] = std::make_unique<BloomFilter>(per_rank);
   BloomFilter& seen = *blooms_[me];
   BloomFilter& repeats = *repeat_blooms_[me];
   std::uint64_t distinct = 0;
+  std::uint64_t second_sightings = 0;
 
+  // Per-chunk progress, reduced across the team: whether any rank still
+  // has k-mers to send, and how many k-mers the owners have sighted twice.
+  struct Progress {
+    std::uint64_t more;
+    std::uint64_t second_sightings;
+  };
+  Progress global{};
   std::vector<std::vector<KmerT>> outgoing(
       static_cast<std::size_t>(rank.nranks()));
   std::size_t buffered = 0;
   std::size_t scanned = 0;
-  std::size_t set_idx = 0;
-  std::size_t read_idx = 0;
-  seq::KmerScanner<KmerT::kMaxK> it("", config_.k);
-  bool it_active = false;
-  auto start_next_read = [&]() -> bool {
-    while (set_idx < read_sets.size()) {
-      const seq::ReadStore& set = read_sets[set_idx];
-      if (read_idx < set.size()) {
-        it = set.scanner<KmerT::kMaxK>(read_idx++, config_.k);
-        return true;
-      }
-      ++set_idx;
-      read_idx = 0;
-    }
-    return false;
-  };
-  auto stream_exhausted = [&]() {
-    return set_idx >= read_sets.size() ||
-           (set_idx + 1 == read_sets.size() &&
-            read_idx >= read_sets[set_idx].get().size());
-  };
 
-  // Chunked exchange: every rank keeps participating in the collective
-  // until the last rank runs out of k-mers.
-  while (true) {
-    // Fill the chunk from our read stream.
-    while (buffered < config_.chunk_kmers) {
-      if (!it_active) {
-        if (!start_next_read()) break;
-        it_active = true;
-        continue;
-      }
-      if (it.done()) {
-        it_active = false;
-        continue;
-      }
-      const KmerT& canon = it.canonical();
-      const std::uint64_t hash = canon.hash();
-      if (hh_index_.find(canon, hash) == HeavyIndex::kAbsent) {
-        outgoing[owner_of(hash)].push_back(canon);
-        ++buffered;
-      }
-      ++scanned;
-      it.next();
-    }
+  // One chunked all-to-all round; false once no rank has anything to send.
+  // Owner-side, a first sighting sets the first filter; a second one (a
+  // hit there) sets the second filter, which the counting pass's admission
+  // reads.
+  const auto exchange = [&] {
     rank.stats().add_work(scanned);
     scanned = 0;
-
-    const int more_here = (buffered > 0 || !stream_exhausted() ||
-                           (it_active && !it.done()))
-                              ? 1
-                              : 0;
-    if (rank.allreduce_max(more_here) == 0) break;
-
+    global = rank.allreduce(
+        Progress{buffered > 0 ? 1u : 0u, second_sightings},
+        [](const Progress& a, const Progress& b) {
+          return Progress{std::max(a.more, b.more),
+                          a.second_sightings + b.second_sightings};
+        });
+    if (global.more == 0) return false;
     const auto incoming = rank.alltoallv(outgoing);
     for (auto& v : outgoing) v.clear();
     buffered = 0;
-
-    // Owner-side: a first sighting sets the first filter; a second one
-    // (a hit there) sets the second filter, which the counting pass's
-    // admission reads. The table is not touched.
     for (const KmerT& km : incoming) {
       const std::uint64_t h = km.hash();
-      if (seen.test_and_set(h))
-        repeats.test_and_set(h);
-      else
+      if (!seen.test_and_set(h))
         ++distinct;
+      else if (!repeats.test_and_set(h))
+        ++second_sightings;
     }
     rank.stats().add_work(incoming.size());
+    return true;
+  };
+
+  // A chunk ships as soon as it holds chunk_kmers k-mers, mid-read if need
+  // be; then every rank keeps exchanging until the last one runs dry.
+  for (const seq::ReadStore& set : read_sets) {
+    for (std::size_t r = 0; r < set.size(); ++r) {
+      for (auto it = set.scanner<KmerT::kMaxK>(r, config_.k); !it.done();
+           it.next()) {
+        const KmerT& canon = it.canonical();
+        const std::uint64_t hash = canon.hash();
+        if (hh_index_.find(canon, hash) == HeavyIndex::kAbsent) {
+          outgoing[owner_of(hash)].push_back(canon);
+          ++buffered;
+        }
+        ++scanned;
+        if (buffered == config_.chunk_kmers) exchange();
+      }
+    }
+  }
+  while (exchange()) {
   }
   distinct_per_rank_[me] = distinct;
+  rank.barrier();
+  return global.second_sightings;
+}
+
+void KmerAnalysis::allocate_table(pgas::Rank& rank, std::size_t capacity) {
+  // Root allocates on behalf of the whole team (threads fabric: shared
+  // memory, the barrier publishes); every process of a multi-process team
+  // constructs its own instance — `capacity` is a replicated reduction
+  // result, so the table geometry and the fabric service ids it registers
+  // come out identical in every process.
+  if (rank.is_root() || team_.multiprocess()) {
+    Map::Config mc;
+    mc.global_capacity = std::max<std::size_t>(1024, capacity);
+    mc.flush_threshold = config_.flush_threshold;
+    table_ = std::make_unique<Map>(team_, mc);
+    table_->set_name("kcount.counts");
+    // A counting-pass store whose k-mer is not in the table yet inserts
+    // it only if its owner sighted it twice in the candidate pass.
+    if (config_.use_bloom)
+      table_->set_admission([this](std::uint32_t owner, std::uint64_t hash) {
+        return repeat_blooms_[owner]->test(hash);
+      });
+  }
   rank.barrier();
 }
 
@@ -368,22 +354,37 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
       rank.allreduce_sum<std::uint64_t>(table_->local_size(rank.id()));
   if (writes_shared) peak_table_entries_ = peak;
   rank.barrier();
-  // Discard below-threshold (erroneous) k-mers.
-  const std::uint32_t min_count = std::max<std::uint32_t>(
-      config_.min_count, config_.use_bloom ? 2 : config_.min_count);
-  table_->erase_local_if(rank, [&](const KmerT&, const KmerTally& tally) {
-    return tally.count < min_count;
-  });
 
-  // Collapse tallies into UFX records + histogram.
+  // Collapse tallies at or above the floor into UFX records + histogram.
+  // The Bloom filter's admission lets singletons in, and an automatic
+  // cutoff reads the histogram of repeated k-mers, so both floor it at 2.
+  std::uint32_t min_count = config_.min_count;
+  if (min_count == 0 || config_.use_bloom)
+    min_count = std::max<std::uint32_t>(min_count, 2);
   auto& out = ufx_[static_cast<std::size_t>(rank.id())];
   std::vector<std::uint64_t> hist(256, 0);
   out.clear();
   out.reserve(table_->local_size(rank.id()));
   table_->for_each_local(rank, [&](const KmerT& km, KmerTally& tally) {
+    if (tally.count < min_count) return;
     out.emplace_back(km, summarize(tally, config_.min_ext_count));
     ++hist[std::min<std::uint32_t>(tally.count, 255)];
   });
+  // Every rank contributes exactly 256 buckets, so the gathered rows fold
+  // by index modulo 256.
+  const auto all_hist = rank.allgatherv(hist);
+  std::vector<std::uint64_t> global_hist(256, 0);
+  for (std::size_t idx = 0; idx < all_hist.size(); ++idx)
+    global_hist[idx % 256] += all_hist[idx];
+  // Automatic cutoff: every rank picks the same valley from the same
+  // global histogram, then drops the records and buckets below it.
+  if (config_.min_count == 0) {
+    min_count = choose_min_count(global_hist);
+    std::erase_if(out, [&](const auto& record) {
+      return record.second.depth < min_count;
+    });
+    std::fill_n(global_hist.begin(), min_count, 0);
+  }
   rank.stats().add_work(out.size());
   rank.barrier();
 
@@ -392,9 +393,6 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
       rank.allreduce_sum(distinct_per_rank_[static_cast<std::size_t>(rank.id())]);
   const std::uint64_t global_kept =
       rank.allreduce_sum<std::uint64_t>(out.size());
-  // Every rank contributes exactly 256 buckets, so the gathered rows fold
-  // by index modulo 256.
-  const auto all_hist = rank.allgatherv(hist);
   if (writes_shared) {
     distinct_kmers_ = global_distinct;
     singleton_fraction_ =
@@ -402,9 +400,8 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
             ? 0.0
             : 1.0 - static_cast<double>(global_kept) /
                         static_cast<double>(global_distinct);
-    histogram_.assign(256, 0);
-    for (std::size_t idx = 0; idx < all_hist.size(); ++idx)
-      histogram_[idx % 256] += all_hist[idx];
+    histogram_ = std::move(global_hist);
+    min_count_ = min_count;
   }
   rank.barrier();
 }

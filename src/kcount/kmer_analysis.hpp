@@ -19,8 +19,8 @@
 /// Four collective passes, all driven from `run()`:
 ///
 ///  0. **Sketch pass** — one streaming pass over the reads builds, per
-///     rank, a HyperLogLog (cardinality, used to size the Bloom filters and
-///     hash table: "an initial pass ... to estimate the cardinality") and a
+///     rank, a HyperLogLog (cardinality, used to size the Bloom filters:
+///     "an initial pass ... to estimate the cardinality") and a
 ///     Misra–Gries summary (heavy-hitter candidates). MG partial counts are
 ///     routed to each k-mer's owner and summed (mergeable summaries /
 ///     Cafaro–Tempesta); k-mers whose summed lower-bound count crosses the
@@ -29,8 +29,11 @@
 ///  1. **Candidate pass** — every non-heavy k-mer instance is routed to its
 ///     owner (chunked all-to-all = aggregated messages). The owner keeps two
 ///     Bloom filters: a hit in the first one's test-and-set is a second
-///     sighting, which sets the k-mer in the second filter. Nothing is
-///     written to the table.
+///     sighting, which sets the k-mer in the second filter. The owners'
+///     count of second sightings rides each chunk's progress reduction;
+///     with the heavy hitters it sizes the count table, built after this
+///     pass. Without the Bloom filter the pass is skipped and the table is
+///     sized by the cardinality estimate.
 ///  2. **Counting pass** — k-mer instances with their quality-filtered
 ///     neighbor bases are merged into the owners' tallies via the
 ///     aggregating-stores path. A store whose k-mer is not yet in the table
@@ -40,8 +43,11 @@
 ///     a rank-local tally vector ("the high frequency k-mers are accumulated
 ///     locally, followed by a final global reduction") and exchanged once at
 ///     the end — this is the optimization Figure 6 measures.
-///  3. **Finalize** — below-threshold k-mers are discarded and extension
-///     tallies collapse into UFX records (depth + two-letter code).
+///  3. **Finalize** — extension tallies collapse into UFX records (depth +
+///     two-letter code) and the global count histogram is gathered. An
+///     automatic cutoff is the valley of that histogram
+///     (`choose_min_count`), picked by every rank from the same gather;
+///     records below the cutoff are discarded.
 ///
 /// Each instance is hashed once per pass on its rank; that hash picks the
 /// owner, probes the heavy-hitter index and travels with the store.
@@ -49,7 +55,10 @@ namespace hipmer::kcount {
 
 struct KmerAnalysisConfig {
   int k = 31;
-  /// Discard k-mers with count below this (erroneous).
+  /// Discard k-mers with count below this (erroneous). 0 picks the cutoff
+  /// from this run's count histogram: the valley between the error spike
+  /// and the coverage hump (`choose_min_count`), 2 if there is none. With
+  /// the Bloom filter on, the cutoff is at least 2.
   std::uint32_t min_count = 2;
   /// Minimum Phred quality for a neighbor base to count as an extension.
   int qual_threshold = 20;
@@ -65,9 +74,6 @@ struct KmerAnalysisConfig {
   std::uint64_t hh_min_count = 0;
 
   bool use_bloom = true;
-  /// Expected fraction of distinct k-mers that are non-singletons (sizes
-  /// the candidate table relative to the cardinality estimate).
-  double candidate_fraction = 0.4;
 
   /// Aggregating-stores batch size (elements per destination buffer).
   std::size_t flush_threshold = 512;
@@ -133,10 +139,14 @@ class KmerAnalysis {
   [[nodiscard]] const HeavyIndex& heavy_hitter_index() const noexcept {
     return hh_index_;
   }
-  /// k-mer count histogram (index = count, capped at 255), global.
+  /// k-mer count histogram of the kept records (index = count, capped at
+  /// 255), global.
   [[nodiscard]] const std::vector<std::uint64_t>& histogram() const noexcept {
     return histogram_;
   }
+  /// The cutoff finalize applied: `config().min_count`, or the valley it
+  /// picked when that is 0.
+  [[nodiscard]] std::uint32_t min_count() const noexcept { return min_count_; }
   /// Total k-mer instances processed (n in the MG bound).
   [[nodiscard]] std::uint64_t total_kmer_instances() const noexcept {
     return total_instances_;
@@ -149,8 +159,8 @@ class KmerAnalysis {
   }
   /// Both Bloom filters of every rank, in bytes (0 once released).
   [[nodiscard]] std::size_t bloom_bytes() const;
-  /// Whether the count table is allocated: from `run`'s sizing step until
-  /// `release_tables`.
+  /// Whether the count table is allocated: from the end of the candidate
+  /// pass until `release_tables`.
   [[nodiscard]] bool has_table() const noexcept { return table_ != nullptr; }
 
   /// Free the count table and both Bloom filters. Serial context only,
@@ -176,9 +186,10 @@ class KmerAnalysis {
 
   void sketch_pass(pgas::Rank& rank,
                    const std::vector<seq::ReadSetView>& read_sets);
-  void allocate(pgas::Rank& rank);
-  void candidate_pass(pgas::Rank& rank,
-                      const std::vector<seq::ReadSetView>& read_sets);
+  /// Returns the team's count of k-mers sighted at least twice.
+  std::uint64_t candidate_pass(pgas::Rank& rank,
+                               const std::vector<seq::ReadSetView>& read_sets);
+  void allocate_table(pgas::Rank& rank, std::size_t capacity);
   void counting_pass(pgas::Rank& rank,
                      const std::vector<seq::ReadSetView>& read_sets);
   void finalize(pgas::Rank& rank);
@@ -189,9 +200,10 @@ class KmerAnalysis {
   KmerAnalysisConfig config_;
 
   std::unique_ptr<Map> table_;
-  // Per owner rank: first sightings (owner-only, single writer), and
-  // k-mers sighted at least twice (written by the owner in the candidate
-  // pass, read by any rank's stores only after that pass's barrier).
+  // Per owner rank, allocated by that rank: first sightings (owner-only,
+  // single writer), and k-mers sighted at least twice (written by the
+  // owner in the candidate pass, read by any rank's stores only after that
+  // pass's barrier).
   std::vector<std::unique_ptr<BloomFilter>> blooms_;
   std::vector<std::unique_ptr<BloomFilter>> repeat_blooms_;
 
@@ -211,6 +223,7 @@ class KmerAnalysis {
   std::uint64_t total_instances_ = 0;
   double singleton_fraction_ = 0.0;
   std::vector<std::uint64_t> histogram_;
+  std::uint32_t min_count_ = 0;
   KmerPassSeconds pass_seconds_;
 };
 

@@ -142,7 +142,6 @@ std::uint64_t Pipeline::config_fingerprint(
   put_u(config_.kmer.mg_capacity);
   put_u(config_.kmer.hh_min_count);
   put_b(config_.kmer.use_bloom);
-  put_d(config_.kmer.candidate_fraction);
   put_u(config_.contig.min_contig_len);
   put_i(config_.aligner.seed_stride);
   put_i(config_.aligner.max_seed_hits);
@@ -496,6 +495,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
     aux.singleton_fraction = kmer_analysis->singleton_fraction();
     aux.heavy_hitters = kmer_analysis->heavy_hitters().size();
     result.kmer_passes = kmer_analysis->pass_seconds();
+    result.min_count = kmer_analysis->min_count();
     snapshot_stage(stages, ckpt::kStageUfx, aux, [&](pgas::Rank& rank) {
       return ckpt::encode_ufx_shard(kmer_analysis->ufx(rank.id()));
     });
@@ -717,14 +717,11 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
           mine.insert(mine.end(), found.begin(), found.end());
         }
       });
-      if (config_.checkpoint.granularity ==
-          ckpt::CheckpointConfig::Granularity::kStage) {
-        snapshot_stage(stages, ckpt::stage_alignments(round), aux,
-                       [&](pgas::Rank& rank) {
-                         return ckpt::encode_alignments_shard(
-                             alignments[static_cast<std::size_t>(rank.id())]);
-                       });
-      }
+      snapshot_stage(stages, ckpt::stage_alignments(round), aux,
+                     [&](pgas::Rank& rank) {
+                       return ckpt::encode_alignments_shard(
+                           alignments[static_cast<std::size_t>(rank.id())]);
+                     });
     }
 
     // Insert sizes (§4.4), splints/spans (§4.5), links (§4.6), ordering

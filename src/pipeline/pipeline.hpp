@@ -157,6 +157,8 @@ struct PipelineResult {
   /// Per-pass wall seconds of the k-mer analysis this run performed (none
   /// when its UFX came from a checkpoint or the artifact cache).
   std::optional<kcount::KmerPassSeconds> kmer_passes;
+  /// The count cutoff that k-mer analysis applied (0 when it did not run).
+  std::uint32_t min_count = 0;
 
   [[nodiscard]] double wall_total() const;
   [[nodiscard]] double modeled_total() const;

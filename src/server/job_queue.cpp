@@ -113,6 +113,7 @@ JobRecord* JobQueue::pop_next() {
 void JobQueue::requeue(JobRecord* job,
                        std::chrono::steady_clock::time_point not_before) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++job->attempt;
   job->state = JobState::kQueued;
   job->not_before = not_before;
   cv_.notify_all();
@@ -187,6 +188,7 @@ void JobQueue::finish(JobRecord* job, JobState state, JobOutcome outcome) {
       ++totals_.cancelled;
       break;
     case JobState::kQuarantined:
+      ++job->attempt;  // the attempt that spent the budget
       ++totals_.quarantined;
       break;
     default:

@@ -96,8 +96,9 @@ struct JobRecord {
   /// Set by CANCEL on a running job; the pipeline's cancel_poll reads it
   /// between stages.
   std::atomic<bool> cancel_requested{false};
-  /// Attempts started so far; the executor's retry policy bumps it after
-  /// each failed attempt.
+  /// Attempts started so far. A failed attempt bumps it under the queue
+  /// lock (`requeue`, or `finish` into kQuarantined), so STATUS reads it
+  /// race-free.
   std::uint32_t attempt = 0;
   /// Exponential-backoff gate: a queued job is not dispatchable before
   /// this instant.
@@ -138,7 +139,7 @@ class JobQueue {
   JobRecord* pop_next();
 
   /// Retry hand-back: a running job whose attempt died goes back to
-  /// queued, not dispatchable before `not_before`.
+  /// queued, not dispatchable before `not_before`, one attempt further on.
   void requeue(JobRecord* job, std::chrono::steady_clock::time_point
                                    not_before);
 
@@ -154,7 +155,8 @@ class JobQueue {
   /// executor lands the terminal state). False for unknown/terminal jobs.
   bool cancel(std::uint64_t id);
 
-  /// Executor hand-back: record the terminal state + outcome.
+  /// Executor hand-back: record the terminal state + outcome
+  /// (kQuarantined also counts the attempt that spent the budget).
   void finish(JobRecord* job, JobState state, JobOutcome outcome);
 
   struct Snapshot {

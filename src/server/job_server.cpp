@@ -142,8 +142,15 @@ bool JobServer::parse_submit(const Command& cmd, JobSpec* spec,
   }
   spec->priority = std::atoi(cmd.get("priority", "0").c_str());
   spec->k = std::atoi(cmd.get("k", "31").c_str());
-  spec->min_count = static_cast<std::uint32_t>(
-      std::strtoul(cmd.get("min_count", "0").c_str(), nullptr, 10));
+  // A number only: 0 (the default) keeps the pipeline's cutoff of 2.
+  const std::string min_count = cmd.get("min_count", "0");
+  if (min_count.empty() ||
+      min_count.find_first_not_of("0123456789") != std::string::npos) {
+    *error = "bad-config";
+    return false;
+  }
+  spec->min_count =
+      static_cast<std::uint32_t>(std::strtoul(min_count.c_str(), nullptr, 10));
   spec->rounds = std::atoi(cmd.get("rounds", "1").c_str());
   spec->diploid = cmd.get("diploid", "0") == "1";
   spec->resume = cmd.get("resume", "0") == "1";
@@ -626,7 +633,6 @@ void JobServer::execute(JobRecord* job) {
       journal_event(event);
       const std::uint64_t backoff =
           retry_backoff_ms(config_.retry_backoff_ms, attempt, job_id);
-      job->attempt = attempt + 1;
       queue_.requeue(job, std::chrono::steady_clock::now() +
                               std::chrono::milliseconds(backoff));
       util::log_warn("server: job " + std::to_string(job_id) +
@@ -634,7 +640,6 @@ void JobServer::execute(JobRecord* job) {
                      std::to_string(max_attempts) + " failed (" + reason +
                      "); retrying in " + std::to_string(backoff) + "ms");
     } else {
-      job->attempt = attempt + 1;
       outcome.error = reason;
       land(JobState::kQuarantined, std::move(outcome));
       util::log_warn("server: job " + std::to_string(job_id) +

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "kcount/bloom_filter.hpp"
+#include "kcount/histogram.hpp"
 #include "kcount/hyperloglog.hpp"
 #include "kcount/kmer_analysis.hpp"
 #include "kcount/misra_gries.hpp"
@@ -348,6 +349,7 @@ struct AnalysisResult {
   double singleton_fraction = 0;
   std::size_t heavy_count = 0;
   std::vector<std::uint64_t> histogram;
+  std::uint32_t min_count = 0;
 };
 
 AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
@@ -371,6 +373,7 @@ AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
   result.singleton_fraction = ka.singleton_fraction();
   result.heavy_count = ka.heavy_hitters().size();
   result.histogram = ka.histogram();
+  result.min_count = ka.min_count();
   return result;
 }
 
@@ -712,6 +715,72 @@ TEST(KmerAnalysis, ReleasingTheTablesKeepsEveryResult) {
   EXPECT_GT(records, 15000u);
   EXPECT_EQ(ka.histogram(), histogram);
   EXPECT_EQ(ka.peak_table_entries(), peak);
+}
+
+/// One errorful read set with every read repeated, as if each fragment had
+/// been sequenced many times: every tenth read twice, the rest six times.
+/// Error k-mers now occur twice or six times, so the count histogram's
+/// valley sits above 2, with repeated error k-mers below it.
+std::vector<seq::Read> repeated_reads() {
+  sim::GenomeConfig gc;
+  gc.length = 20000;
+  gc.seed = 43;
+  const auto genome = sim::simulate_genome(gc);
+  sim::LibraryConfig lc;
+  lc.read_length = 100;
+  lc.coverage = 10.0;
+  lc.error_rate = 0.005;
+  lc.seed = 44;
+  const auto once = sim::simulate_library(genome, lc);
+  std::vector<seq::Read> reads;
+  for (int copy = 0; copy < 6; ++copy)
+    for (std::size_t i = 0; i < once.size(); ++i)
+      if (copy < 2 || i % 10 != 0) reads.push_back(once[i]);
+  return reads;
+}
+
+TEST(KmerAnalysis, AutoMinCountPicksTheValleyOfItsOwnHistogram) {
+  // Errorful reads sequenced once put the valley at 2, repeated ones above
+  // it. Without the Bloom filter singletons reach finalize too; the
+  // automatic cutoff must still read only the histogram of repeated k-mers.
+  const std::vector<std::vector<seq::Read>> read_sets = {
+      repetitive_reads(37, 0.005), repeated_reads()};
+  for (std::size_t set = 0; set < read_sets.size(); ++set) {
+    for (const bool bloom : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "set " << set << " bloom " << bloom);
+      const auto& reads = read_sets[set];
+      KmerAnalysisConfig numeric;
+      numeric.k = 21;
+      numeric.min_count = 2;
+      numeric.use_bloom = bloom;
+      const auto at_2 = run_analysis(reads, numeric, 4);
+      const std::uint32_t valley = choose_min_count(at_2.histogram);
+
+      numeric.min_count = valley;
+      KmerAnalysisConfig automatic = numeric;
+      automatic.min_count = 0;
+      const auto want = run_analysis(reads, numeric, 4);
+      EXPECT_EQ(want.min_count, valley);
+      if (set == 1) {
+        ASSERT_GT(valley, 2u) << "repeated reads must put the valley above 2";
+        EXPECT_LT(want.ufx.size(), at_2.ufx.size()) << "the valley must cut";
+      }
+      for (const int nranks : {1, 4, 16}) {
+        SCOPED_TRACE(nranks);
+        const auto got = run_analysis(reads, automatic, nranks);
+        EXPECT_EQ(got.min_count, valley);
+        EXPECT_EQ(got.histogram, want.histogram);
+        ASSERT_EQ(got.ufx.size(), want.ufx.size());
+        for (const auto& [km, summary] : got.ufx) {
+          const auto it = want.ufx.find(km);
+          ASSERT_NE(it, want.ufx.end()) << km;
+          EXPECT_EQ(summary.depth, it->second.depth) << km;
+          EXPECT_EQ(summary.left_ext, it->second.left_ext) << km;
+          EXPECT_EQ(summary.right_ext, it->second.right_ext) << km;
+        }
+      }
+    }
+  }
 }
 
 TEST(KmerAnalysis, CardinalityEstimateIsSane) {

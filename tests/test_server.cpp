@@ -199,6 +199,14 @@ TEST(ParseSubmit, ValidationErrors) {
       submit_cmd("reads=" + fastq + " out=x.fasta k=3"), &spec, &error));
   EXPECT_EQ(error, "bad-config");
 
+  // Only the CLI's `assemble` picks the cutoff itself; a served job that
+  // asks for it is refused rather than assembled at the default.
+  spec = {};
+  EXPECT_FALSE(server::JobServer::parse_submit(
+      submit_cmd("reads=" + fastq + " out=x.fasta min_count=auto"), &spec,
+      &error));
+  EXPECT_EQ(error, "bad-config");
+
   fs::remove_all(dir);
 }
 

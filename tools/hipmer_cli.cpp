@@ -4,8 +4,7 @@
 //          --insert 4200 --scaffold-only] --k 31 --ranks 16
 //          [--rounds 1] [--diploid] [--min-count auto|N]
 //          [--out scaffolds.fasta]
-//          [--checkpoint-dir DIR [--resume] [--keep-last N]
-//           [--checkpoint-rounds-only]]
+//          [--checkpoint-dir DIR [--resume] [--keep-last N]]
 //   hipmer simulate (human|wheat|metagenome) --genome N --out-dir DIR
 //   hipmer convert --fastq in.fastq --seqdb out.sdb     (either direction)
 //   hipmer serve --listen /run/hipmer.sock [--ranks N] [--state-dir DIR]
@@ -17,8 +16,9 @@
 //
 // `assemble` accepts interleaved paired-end FASTQ files (read names must
 // carry pairing as "<lib>:<pair>/<mate>"; `simulate` writes that format).
-// `--min-count auto` derives the erroneous-k-mer cutoff from the k-mer
-// count histogram valley (see kcount/histogram.hpp).
+// `--min-count auto` has the k-mer analysis derive the erroneous-k-mer
+// cutoff from its own count histogram's valley (see kcount/histogram.hpp);
+// the chosen value is printed after the run.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -30,14 +30,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "io/fastq.hpp"
-#include "io/parallel_fastq.hpp"
 #include "io/seqdb.hpp"
-#include "kcount/histogram.hpp"
 #include "pgas/fabric.hpp"
 #include "pipeline/pipeline.hpp"
 #include "server/client.hpp"
@@ -62,7 +61,7 @@ int usage() {
                "[--diploid] [--min-count auto|N] [--out FILE]\n"
                "                  [--packed-reads] [--shuffle-reads]\n"
                "                  [--checkpoint-dir DIR [--resume] "
-               "[--keep-last N] [--checkpoint-rounds-only]]\n"
+               "[--keep-last N]]\n"
                "                  [--chaos-spec "
                "'drop=0.05,dup=0.02;store:corrupt=0.01;blackhole=2@merAligner'"
                " [--chaos-seed N]]\n"
@@ -141,6 +140,8 @@ int report_and_write(pipeline::Pipeline& pipe,
                      const pipeline::PipelineResult& result,
                      const std::string& out) {
   std::printf("%s", result.format_stages().c_str());
+  if (pipe.config().kmer.min_count == 0 && result.min_count > 0)
+    std::printf("auto min-count: %u (histogram valley)\n", result.min_count);
   if (pipe.team().transport().chaos_enabled()) {
     const std::string retries =
         pipe.team().transport().format_retry_histograms();
@@ -180,13 +181,20 @@ int cmd_assemble(int argc, char** argv) {
   // shuffle. Neither changes the assembly output.
   cfg.packed_reads = opts.get_bool("packed-reads", false);
   cfg.shuffle_reads = opts.get_bool("shuffle-reads", false);
-  if (min_count != "auto")
-    cfg.kmer.min_count =
-        static_cast<std::uint32_t>(std::strtoul(min_count.c_str(), nullptr, 10));
+  if (min_count != "auto" &&
+      (min_count.empty() ||
+       min_count.find_first_not_of("0123456789") != std::string::npos)) {
+    std::fprintf(stderr, "assemble: --min-count must be auto or a number\n");
+    return usage();
+  }
+  // 0 has the k-mer analysis pick the cutoff from its own histogram.
+  cfg.kmer.min_count =
+      min_count == "auto"
+          ? 0
+          : static_cast<std::uint32_t>(
+                std::strtoul(min_count.c_str(), nullptr, 10));
   cfg.checkpoint.dir = opts.get("checkpoint-dir", "");
   cfg.checkpoint.keep_last = static_cast<int>(opts.get_int("keep-last", 0));
-  if (opts.get_bool("checkpoint-rounds-only", false))
-    cfg.checkpoint.granularity = ckpt::CheckpointConfig::Granularity::kRound;
   const bool resume = opts.get_bool("resume", false);
   if (resume && cfg.checkpoint.dir.empty()) {
     std::fprintf(stderr, "assemble: --resume requires --checkpoint-dir DIR\n");
@@ -210,12 +218,10 @@ int cmd_assemble(int argc, char** argv) {
 
   if (worker_rank > 0) {
     // ---- worker mode: host one rank, connect back, run the same SPMD
-    // program. The coordinator resolved any auto min-count before spawning
-    // and pinned it numerically into our argv.
-    if (socket_path.empty() || min_count == "auto") {
+    // program.
+    if (socket_path.empty()) {
       std::fprintf(stderr,
-                   "assemble: --worker-rank requires --fabric-socket and a "
-                   "numeric --min-count\n");
+                   "assemble: --worker-rank requires --fabric-socket\n");
       return 2;
     }
     cfg.fabric.mode = pgas::FabricConfig::Mode::kProcWorker;
@@ -236,29 +242,6 @@ int cmd_assemble(int argc, char** argv) {
     }
   }
 
-  if (min_count == "auto") {
-    // Probe pass: run k-mer analysis cheaply at low rank count to get the
-    // histogram, pick the valley, then run the real pipeline.
-    pgas::ThreadTeam probe_team(pgas::Topology{std::min(ranks, 8), 4});
-    kcount::KmerAnalysisConfig probe_cfg = cfg.kmer;
-    kcount::KmerAnalysis probe(probe_team, probe_cfg);
-    std::vector<std::unique_ptr<io::ParallelFastqReader>> readers;
-    for (const auto& lib : libraries)
-      if (lib.for_contigging)
-        readers.push_back(std::make_unique<io::ParallelFastqReader>(lib.fastq_path));
-    probe_team.run([&](pgas::Rank& rank) {
-      std::vector<seq::ReadStore> mine(readers.size(),
-                                       seq::ReadStore(cfg.packed_reads));
-      for (std::size_t lib = 0; lib < readers.size(); ++lib) {
-        readers[lib]->read_my_records(rank, mine[lib]);
-        rank.barrier();
-      }
-      probe.run(rank, std::vector<seq::ReadSetView>(mine.begin(), mine.end()));
-    });
-    cfg.kmer.min_count = kcount::choose_min_count(probe.histogram());
-    std::printf("auto min-count: %u (histogram valley)\n", cfg.kmer.min_count);
-  }
-
   if (fabric == "proc") {
     // ---- coordinator: rank 0 + router here, one spawned process per
     // remaining rank. A RankKilled unwind (suspect peer, kill -9'd worker)
@@ -269,14 +252,14 @@ int cmd_assemble(int argc, char** argv) {
           "/tmp/hipmer-fabric-" + std::to_string(getpid()) + ".sock";
     const auto make_worker_argv = [&](const std::string& sock, bool with_kill,
                                       bool force_resume) {
-      // This binary + the original arguments, with the fabric flags and any
-      // auto-resolved min-count pinned down (workers never probe or spawn).
+      // This binary + the original arguments, with the fabric flags pinned
+      // down (workers never spawn).
       std::vector<std::string> wargv;
       wargv.push_back(g_binary);
       bool has_resume = false;
       for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--min-count" || a == "--fabric" || a == "--fabric-socket") {
+        if (a == "--fabric" || a == "--fabric-socket") {
           ++i;
           continue;
         }
@@ -291,9 +274,7 @@ int cmd_assemble(int argc, char** argv) {
         if (a == "--resume") has_resume = true;
         wargv.push_back(a);
       }
-      wargv.insert(wargv.end(),
-                   {"--fabric", "proc", "--fabric-socket", sock, "--min-count",
-                    std::to_string(cfg.kmer.min_count)});
+      wargv.insert(wargv.end(), {"--fabric", "proc", "--fabric-socket", sock});
       if (force_resume && !has_resume) wargv.emplace_back("--resume");
       return wargv;
     };
@@ -314,9 +295,9 @@ int cmd_assemble(int argc, char** argv) {
           pipe->team().faults().set_plan(pgas::FaultPlan::parse(kill_spec));
         std::printf(
             "assembling %zu librar%s on %d ranks (%d processes), k=%d, "
-            "min_count=%u...\n",
+            "min_count=%s...\n",
             libraries.size(), libraries.size() == 1 ? "y" : "ies", ranks,
-            ranks, k, cfg.kmer.min_count);
+            ranks, k, min_count.c_str());
         const auto result = pipe->execute_from_fastq(libraries, do_resume);
         return report_and_write(*pipe, result, out);
       } catch (const pgas::RankKilled& e) {
@@ -340,9 +321,9 @@ int cmd_assemble(int argc, char** argv) {
   pipeline::Pipeline pipe(pgas::Topology{ranks, 4}, cfg);
   if (!kill_spec.empty())
     pipe.team().faults().set_plan(pgas::FaultPlan::parse(kill_spec));
-  std::printf("assembling %zu librar%s on %d ranks, k=%d, min_count=%u...\n",
+  std::printf("assembling %zu librar%s on %d ranks, k=%d, min_count=%s...\n",
               libraries.size(), libraries.size() == 1 ? "y" : "ies", ranks, k,
-              cfg.kmer.min_count);
+              min_count.c_str());
   const auto result = pipe.execute_from_fastq(libraries, resume);
   return report_and_write(pipe, result, out);
 }
@@ -370,6 +351,8 @@ int cmd_simulate(const std::string& kind, int argc, char** argv) {
   } else {
     return usage();
   }
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
   if (!sim::write_dataset_fastq(ds, out_dir)) {
     std::fprintf(stderr, "cannot write FASTQ files to %s\n", out_dir.c_str());
     return 1;
